@@ -1,5 +1,5 @@
 // Shared Google-Benchmark JSON emission for the table-style bench binaries
-// (ablation_overlap, ablation_drift, cluster_scaling, service_load, ...).
+// (ablation_overlap, ablation_drift, cluster_scaling, ablation_fastmm).
 //
 // The binaries print human tables; --json FILE additionally emits the
 // minimal Google-Benchmark document tools/compare_bench.py gates on: one

@@ -48,7 +48,7 @@ void usage() {
       "  --fastmm-crossover X  smallest fast sub-block edge (0 = auto:\n"
       "                     tuned cache else 512)\n"
       "  --fastmm-max-depth D  fast recursion depth cap (default 3)\n"
-      "  --scheduler NAME   eager | pipelined | taskgraph (default eager)\n"
+      "  --scheduler NAME   eager | taskgraph (default eager)\n"
       "  --engine NAME      thread (default, one OS thread per rank) |\n"
       "                     modeled (cooperative fibers on one scheduler\n"
       "                     thread; bit-identical, cheap at large p)\n"
@@ -56,10 +56,8 @@ void usage() {
       "                     ring | pipelined | auto\n"
       "  --two-level        price collectives as inter-node stage over\n"
       "                     node leaders plus widest intra-node stage\n"
-      "  --overlap-depth D  in-flight broadcast window (>= 0, 0 = unbounded):\n"
-      "                     the pipelined prefetch depth, equivalently the\n"
-      "                     task graph's posted-ahead window (--window is an\n"
-      "                     alias)\n"
+      "  --overlap-depth D  task graph's in-flight broadcast window\n"
+      "                     (>= 0, 0 = unbounded; default 2)\n"
       "  --panel-rows R     broadcast panel rows, 0 = whole sub-partitions\n"
       "  --fault LIST       inject faults: <kind>@<t>:<rank>[x<arg>], e.g.\n"
       "                     crash@0.5:1 | slow@0.5:1x4 | link@0.2:0x8 |\n"
@@ -98,24 +96,19 @@ int main(int argc, char** argv) {
 
   try {
     const std::string scheduler = cli.get("scheduler", "eager");
-    if (scheduler == "pipelined") {
-      config.summagen_options.scheduler = core::Scheduler::kPipelined;
-    } else if (scheduler == "taskgraph") {
+    if (scheduler == "taskgraph") {
       config.summagen_options.scheduler = core::Scheduler::kTaskGraph;
     } else if (scheduler != "eager") {
       throw util::CliError("--scheduler: unknown scheduler '" + scheduler +
-                           "' (expected eager | pipelined | taskgraph)");
+                           "' (expected eager | taskgraph)");
     }
-    // --overlap-depth and --window name the same quantity: the bound on
-    // posted-but-uncompleted broadcasts (pipelined prefetch depth == the
-    // task graph's in-flight window).
-    if (cli.has("overlap-depth") && cli.has("window")) {
-      throw util::CliError("--window is an alias of --overlap-depth; "
-                           "pass only one");
+    // The flag parser ignores unknown names; refuse the retired alias so a
+    // window passed the old way is not silently replaced by the default.
+    if (cli.has("window")) {
+      throw util::CliError("--window: removed; use --overlap-depth");
     }
-    config.summagen_options.overlap_depth = static_cast<int>(
-        cli.has("window") ? cli.get_int_min("window", 2, 0)
-                          : cli.get_int_min("overlap-depth", 2, 0));
+    config.summagen_options.overlap_depth =
+        static_cast<int>(cli.get_int_min("overlap-depth", 2, 0));
     config.summagen_options.bcast_panel_rows = cli.get_int("panel-rows", 0);
     try {
       config.engine = sgmpi::parse_engine(cli.get("engine", "thread"));

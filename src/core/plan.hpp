@@ -1,20 +1,19 @@
 // Explicit execution plan for one SummaGen run.
 //
-// Historically `summagen_rank` interleaved schedule derivation and
-// execution inside three monolithic stage functions. The plan splits the
-// two: `build_plan` derives, once per run and identically on every rank,
-// the complete list of communication operations (panel broadcasts of A and
-// B sub-partitions over their row/column subgroups), purely-local copies
-// (rows/columns with a single owner), and local DGEMMs. Schedulers then
-// execute the plan — `kEager` in the paper's strict phase order, or
-// `kPipelined` with non-blocking broadcasts overlapping DGEMM execution.
+// The plan splits schedule derivation from execution: `build_plan`
+// derives, once per run and identically on every rank, the complete list
+// of communication operations (panel broadcasts of A and B sub-partitions
+// over their row/column subgroups), purely-local copies (rows/columns with
+// a single owner), and local DGEMMs. Schedulers then execute the plan's
+// task graph — `kEager` in the paper's strict phase order, or `kTaskGraph`
+// with non-blocking broadcasts overlapping DGEMM execution.
 //
 // Ordering contract: `comm_ops` is in the eager global order (all A
 // operations by sub-partition row, then all B operations by column). Every
 // rank derives the same list, so the sub-sequence of operations on any one
 // subgroup communicator is identical across its members — the MPI
 // collective-ordering rule. Both schedulers issue operations in exactly
-// this order; the pipelined one merely separates posting from completion.
+// this order; the task-graph one merely separates posting from completion.
 //
 // Overlap granularity: a DGEMM on sub-partition (bi, bj) reads the full
 // A row line bi and B column line bj along the shared dimension k = n.

@@ -1,6 +1,7 @@
 #include "src/core/runner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -9,7 +10,6 @@
 #include <utility>
 
 #include "src/blas/fastmm.hpp"
-#include "src/blas/pack_cache.hpp"
 #include "src/core/recovery.hpp"
 #include "src/core/reference.hpp"
 #include "src/pool/pool.hpp"
@@ -43,6 +43,27 @@ struct Phase {
   /// Drift-triggered re-partitions already performed when this phase
   /// started: arms the detectors (budget) and sets their warmup backoff.
   int drift_rounds = 0;
+};
+
+/// Set while a run_pmm call is in flight. One run owns the process-wide
+/// pool and caches at a time: a second concurrent call would run
+/// Pool::configure (quiescent-only) and its hooks would drop the PackCache
+/// and schedule cache under the running job.
+std::atomic<bool> g_run_in_flight{false};
+
+/// Claims g_run_in_flight for one run_pmm call, releasing it on any exit.
+class RunGuard {
+ public:
+  RunGuard() {
+    if (g_run_in_flight.exchange(true)) {
+      throw std::logic_error(
+          "run_pmm: another run_pmm call is in flight; runs own the "
+          "process-wide pool and caches and must not overlap");
+    }
+  }
+  ~RunGuard() { g_run_in_flight.store(false); }
+  RunGuard(const RunGuard&) = delete;
+  RunGuard& operator=(const RunGuard&) = delete;
 };
 
 }  // namespace
@@ -141,48 +162,25 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
         "re-executed shapes); use the classical kernel there");
   }
 
-  RuntimeContext* const ctx = RuntimeContext::current();
-  if (ctx == nullptr) {
-    // Size the shared compute pool so rank threads + pool workers together
-    // fill the host — the paper's one-persistent-MKL-pool-per-processor
-    // setup, instead of per-call thread spawns oversubscribing the machine.
-    // config.kernel.threads > 0 overrides (clamped to hardware_concurrency).
-    // Under the modeled engine every rank shares one scheduler thread, so
-    // only that thread is reserved no matter how large p gets.
-    const int reserved = config.engine == sgmpi::Engine::kModeled ? 1 : p;
-    sgpool::Pool::set_reserved_threads(reserved);
-    sgpool::Pool::configure(config.kernel.threads > 0
-                                ? blas::resolve_gemm_threads(
-                                      config.kernel.threads)
-                                : sgpool::Pool::recommended_size(reserved));
-  }
-  // else: the context sized the pool once; skipping configure() here is
-  // what keeps the PackCache / schedule cache alive across jobs (and what
-  // makes concurrent run_pmm calls safe — configure is quiescent-only).
+  const RunGuard run_guard;
+  // Size the shared compute pool so rank threads + pool workers together
+  // fill the host — the paper's one-persistent-MKL-pool-per-processor
+  // setup, instead of per-call thread spawns oversubscribing the machine.
+  // config.kernel.threads > 0 overrides (clamped to hardware_concurrency).
+  // Under the modeled engine every rank shares one scheduler thread, so
+  // only that thread is reserved no matter how large p gets.
+  const int reserved = config.engine == sgmpi::Engine::kModeled ? 1 : p;
+  sgpool::Pool::set_reserved_threads(reserved);
+  sgpool::Pool::configure(config.kernel.threads > 0
+                              ? blas::resolve_gemm_threads(
+                                    config.kernel.threads)
+                              : sgpool::Pool::recommended_size(reserved));
 
   ExperimentResult result;
-  std::shared_ptr<const JobPlan> plan;
-  if (ctx != nullptr && config.plan_cache_key != 0) {
-    plan = ctx->plan_for(config.plan_cache_key,
-                         [&config] { return plan_pmm(config); },
-                         &result.plan_cache_hit);
-  } else {
-    plan = std::make_shared<const JobPlan>(plan_pmm(config));
-  }
-  result.spec = plan->spec;
-  result.areas = plan->areas;
+  JobPlan plan = plan_pmm(config);
+  result.spec = std::move(plan.spec);
+  result.areas = std::move(plan.areas);
   result.total_half_perimeter = result.spec.total_half_perimeter();
-
-  // Cross-job packed-panel reuse rides the plan identity: equal (epoch,
-  // plan key, fill seed) implies bit-identical global B, the exact promise
-  // SummaGenOptions::pack_namespace requires. An explicit caller namespace
-  // wins; standalone runs keep the per-run context uid.
-  SummaGenOptions sg_options = config.summagen_options;
-  if (ctx != nullptr && config.plan_cache_key != 0 &&
-      sg_options.pack_namespace == 0) {
-    sg_options.pack_namespace =
-        blas::pack_tag({ctx->epoch(), config.plan_cache_key, config.seed});
-  }
 
   device::Platform platform = config.platform;
   if (config.noise_sigma > 0.0) {
@@ -235,12 +233,12 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   }
   // Accounting window opens after the global inputs exist: what follows is
   // the data plane proper (local stores, broadcasts, workspaces, gather).
-  // The window is a per-job StatsSink, not a process-wide snapshot delta —
-  // overlapping service jobs would misattribute each other's events to
+  // The window is a per-run StatsSink, not a process-wide snapshot delta —
+  // unrelated work recording on other threads would otherwise land in
   // whichever window happened to be open. The main thread installs the
   // sink here (covering local stores and the gather); every rank body
   // installs it on its own thread below, and sgpool propagates it to
-  // pooled tasks, so even stolen DGEMM packs bill this job.
+  // pooled tasks, so even stolen DGEMM packs bill this run.
   util::StatsSink job_stats;
   std::optional<util::ScopedStatsSink> stats_guard;
   stats_guard.emplace(&job_stats);
@@ -344,7 +342,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
       result.reports[static_cast<std::size_t>(r)] = summagen_rank(
           world, result.spec, processors[static_cast<std::size_t>(r)],
           locals[static_cast<std::size_t>(r)].get(), config.contended,
-          sg_options,
+          config.summagen_options,
           config.drift.empty() ? nullptr : &ftctx);
     });
   } else {
@@ -394,7 +392,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
                               : nullptr;
           const RankReport rep = summagen_rank(
               world, ph->spec, processors[static_cast<std::size_t>(wr)], ld,
-              config.contended, sg_options, &ftctx);
+              config.contended, config.summagen_options, &ftctx);
           {
             std::lock_guard<std::mutex> lk(rec_mutex);
             accumulate_report(result.reports[static_cast<std::size_t>(wr)],

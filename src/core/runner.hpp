@@ -16,13 +16,13 @@
 #include "src/blas/gemm.hpp"
 #include "src/core/drift.hpp"
 #include "src/core/recovery.hpp"
-#include "src/core/runtime_context.hpp"
 #include "src/core/summagen.hpp"
 #include "src/device/drift.hpp"
 #include "src/device/platform.hpp"
 #include "src/energy/energy.hpp"
 #include "src/partition/areas.hpp"
 #include "src/partition/shapes.hpp"
+#include "src/partition/spec.hpp"
 #include "src/util/accounting.hpp"
 
 namespace summagen::core {
@@ -66,19 +66,7 @@ struct ExperimentConfig {
   /// Numeric DGEMM kernel. `kernel.threads` == 0 (default) sizes the shared
   /// compute pool to hardware_concurrency() minus the rank threads; a
   /// positive value overrides the pool size (clamped to the hardware).
-  /// Under an active RuntimeContext the context owns the pool and per-job
-  /// pool sizing — including this override — is ignored.
   blas::GemmOptions kernel;
-
-  /// Caller-asserted plan identity for cross-job reuse (0 = none, the
-  /// default). With an active RuntimeContext, jobs passing equal non-zero
-  /// keys promise identical plan-relevant configuration (platform, n,
-  /// shape, regime, speeds/models, granularity, preset fields) — the same
-  /// caller-asserted contract as blas b_pack_key — and share one cached
-  /// partition + areas instead of re-running Steps 1-2. The key also seeds
-  /// the job's pack namespace, so identical jobs additionally reuse packed
-  /// B panels across the stream. Ignored without an active context.
-  std::uint64_t plan_cache_key = 0;
 
   /// Run-to-run measurement noise: lognormal sigma applied to every local
   /// kernel's compute time, seeded per (noise_seed, rank). 0 = the default
@@ -153,7 +141,7 @@ struct ExperimentResult {
   std::vector<double> rank_comp_s;
   std::vector<double> rank_comm_s;
   std::vector<double> rank_idle_s;
-  /// Per-rank broadcast cost hidden behind compute by the pipelined
+  /// Per-rank broadcast cost hidden behind compute by the overlapping
   /// scheduler (all zero under Scheduler::kEager).
   std::vector<double> rank_hidden_s;
   double hidden_comm_time_s = 0.0;  ///< max over ranks — the overlap win
@@ -170,15 +158,11 @@ struct ExperimentResult {
   /// Data-plane allocation/copy accounting over the execution window:
   /// per-rank local stores, broadcasts, compute workspaces and the C
   /// gather. Excludes building the global inputs and the serial
-  /// verification reference. Counter fields are this job's events,
-  /// attributed via a per-job StatsSink riding the pool's task token (so
-  /// overlapping service jobs never bill each other's work); pool
-  /// residency fields are process-wide absolutes at run end.
+  /// verification reference. Counter fields are this run's events,
+  /// attributed via a per-run StatsSink riding the pool's task token (so
+  /// unrelated work on other threads never bills the run); pool residency
+  /// fields are process-wide absolutes at run end.
   util::DataPlaneStats alloc;
-
-  /// True when the partition + areas came from the RuntimeContext plan
-  /// cache instead of being recomputed (plan_cache_key runs only).
-  bool plan_cache_hit = false;
 
   // --- Fault-tolerance accounting (all zero without a fault plan) ---
   int recoveries = 0;  ///< shrink-and-repartition rounds executed
@@ -197,21 +181,28 @@ struct ExperimentResult {
   std::vector<RepartitionEvent> repartitions;
 };
 
+/// The output of the runner's plan phase: Step 1 (per-rank areas) and
+/// Step 2 (shape construction) of the paper's pipeline, everything a run
+/// needs before touching the sgmpi runtime.
+struct JobPlan {
+  partition::PartitionSpec spec;
+  std::vector<std::int64_t> areas;  ///< requested per-rank areas
+};
+
 /// Runs one PMM. Throws on configuration errors (shape/processor-count
 /// mismatch, numeric plane at absurd n, ...).
 ///
-/// Standalone (no active RuntimeContext): sizes the shared pool per call,
-/// exactly the historical behaviour. Under an active RuntimeContext the
-/// pool is left alone (the context sized it) and, when plan_cache_key is
-/// set, the plan phase is served from the context's plan cache.
+/// One run owns the process-wide runtime while it executes: it sizes the
+/// shared sgpool compute pool for its rank count, which drops the blas
+/// PackCache and the SharedSchedule cache of earlier runs. Runs therefore
+/// never overlap: a call made while another run_pmm is in flight (on any
+/// thread) throws std::logic_error without touching the pool.
 ExperimentResult run_pmm(const ExperimentConfig& config);
 
-/// The plan phase of run_pmm, reusable across jobs: validates the config's
-/// plan inputs and produces the partition spec + per-rank areas (Steps 1-2
-/// of the paper's pipeline — preset areas/spec honoured exactly as in
-/// run_pmm). Pure function of the config; run_pmm calls it (directly or
-/// through the RuntimeContext plan cache) so split and monolithic
-/// executions are bit-identical.
+/// The plan phase of run_pmm: validates the config's plan inputs and
+/// produces the partition spec + per-rank areas (preset areas/spec
+/// honoured exactly as in run_pmm). Pure function of the config; run_pmm
+/// calls it, so split and monolithic executions are bit-identical.
 JobPlan plan_pmm(const ExperimentConfig& config);
 
 /// Step 1 of Section V for this config: the per-rank areas.

@@ -26,8 +26,6 @@ const char* to_string(Scheduler scheduler) {
   switch (scheduler) {
     case Scheduler::kEager:
       return "eager";
-    case Scheduler::kPipelined:
-      return "pipelined";
     case Scheduler::kTaskGraph:
       return "taskgraph";
   }
@@ -116,20 +114,15 @@ struct Frame {
   std::vector<std::int64_t> coff;
   std::int64_t wa_base = 0;  ///< first matrix row covered by WA
   std::int64_t wb_base = 0;  ///< first matrix column covered by WB
-  /// Pack-tag namespace: the run's context uid, or the caller-asserted
-  /// SummaGenOptions::pack_namespace when set (cross-job panel reuse).
-  std::uint64_t pack_ns = 0;
 
   Frame(const partition::PartitionSpec& spec_in, int rank, LocalData* data_in,
-        util::MatrixView wa_in, util::MatrixView wb_in,
-        std::uint64_t pack_ns_in)
+        util::MatrixView wa_in, util::MatrixView wb_in)
       : spec(spec_in),
         data(data_in),
         wa(wa_in),
         wb(wb_in),
         roff(spec_in.row_offsets()),
-        coff(spec_in.col_offsets()),
-        pack_ns(pack_ns_in) {
+        coff(spec_in.col_offsets()) {
     const auto [myi, block_lda] = spec.row_span(rank);
     const auto [myj, block_ldb] = spec.col_span(rank);
     (void)block_lda;
@@ -217,7 +210,7 @@ void exec_gemm(sgmpi::Comm& world, const Frame& frame,
     // tag per re-partition phase: a pre-re-partition pack can never serve a
     // post-re-partition lookup.
     const std::uint64_t wb_key = blas::pack_tag(
-        {frame.pack_ns, kSummagenPackTag,
+        {world.context_uid(), kSummagenPackTag,
          ft != nullptr ? ft->partition_epoch : 0,
          static_cast<std::uint64_t>(spec.n), 0,
          static_cast<std::uint64_t>(spec.n),
@@ -308,7 +301,7 @@ void exec_gemm_chunk(sgmpi::Comm& world, const Frame& frame,
     // Same cross-rank identity as exec_gemm, restricted to the chunk's
     // k-range [k0, k1) — which the tag must therefore include.
     const std::uint64_t wb_key = blas::pack_tag(
-        {frame.pack_ns, kSummagenPackTag,
+        {world.context_uid(), kSummagenPackTag,
          ft != nullptr ? ft->partition_epoch : 0,
          static_cast<std::uint64_t>(spec.n),
          static_cast<std::uint64_t>(ch.k0),
@@ -418,9 +411,7 @@ RankReport summagen_rank(sgmpi::Comm& world,
     graph = &pruned;
   }
 
-  const Frame frame(spec, rank, data, wa, wb,
-                    options.pack_namespace != 0 ? options.pack_namespace
-                                                : world.context_uid());
+  const Frame frame(spec, rank, data, wa, wb);
   const double hidden0 = world.clock().hidden_comm_seconds();
 
   // Whole-kernel costs per GemmOp, computed on first use: chunk nodes are

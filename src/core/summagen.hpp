@@ -42,25 +42,16 @@ enum class Scheduler {
   /// numeric results and virtual timing match the original implementation
   /// bit for bit.
   kEager,
-  /// Communication/computation overlap: broadcasts are posted
-  /// non-blocking and every DGEMM is split into k-chunks along the shared
-  /// dimension, each chunk tagged with the last broadcast it reads
-  /// (GemmChunk::dep in src/core/plan.hpp). A chunk completes only the
-  /// broadcasts it depends on, so earlier chunks compute while later
-  /// panels are still in flight on the virtual communication lane.
-  /// Numeric results are bit-identical to kEager for the in-place
-  /// accumulating kernels (kBlocked, kThreaded): chunked C += A*B updates
-  /// touch every element in the same ascending-k order; only the modeled
-  /// timeline changes.
-  kPipelined,
-  /// Dataflow execution of the dependency task graph
-  /// (src/core/taskgraph/): broadcasts are posted ahead up to the
-  /// `overlap_depth` window and completed in the plan's collective order,
-  /// but DGEMM chunks run as soon as *their* dependencies are satisfied —
-  /// the rank blocks in a broadcast completion only when no chunk is
-  /// ready, so compute never idles behind a panel another chunk could
-  /// hide. Bit-identical to the other schedulers: chunks of one cell
-  /// still chain in ascending-k order and distinct cells touch disjoint C.
+  /// Communication/computation overlap by dataflow execution of the
+  /// dependency task graph (src/core/taskgraph/): broadcasts are posted
+  /// non-blocking up to the `overlap_depth` window and completed in the
+  /// plan's collective order, and every DGEMM is split into k-chunks along
+  /// the shared dimension (GemmChunk in src/core/plan.hpp) that run as
+  /// soon as *their* dependencies are satisfied — the rank blocks in a
+  /// broadcast completion only when no chunk is ready, so compute never
+  /// idles behind a panel another chunk could hide. Bit-identical to
+  /// kEager: chunks of one cell chain in ascending-k order and distinct
+  /// cells touch disjoint C; only the modeled timeline changes.
   kTaskGraph,
 };
 
@@ -77,24 +68,11 @@ struct SummaGenOptions {
 
   Scheduler scheduler = Scheduler::kEager;
 
-  /// kPipelined and kTaskGraph: maximum number of posted-but-uncompleted
-  /// broadcasts per rank. For kPipelined this is the prefetch window of
-  /// the in-order pipeline; for kTaskGraph it is the same quantity seen
-  /// through the graph — the DAG's in-flight-broadcast window (how far the
-  /// executor posts ahead of the completion front). <= 0 means unbounded.
+  /// kTaskGraph: maximum number of posted-but-uncompleted broadcasts per
+  /// rank — the DAG's in-flight-broadcast window (how far the executor
+  /// posts ahead of the completion front). <= 0 means unbounded. Ignored
+  /// by kEager, whose broadcasts all block.
   int overlap_depth = 2;
-
-  /// Caller-asserted namespace for the blas pack-cache B-panel tags. 0
-  /// (default): tags are namespaced by the runtime's context uid — packed
-  /// panels are shared within one run only, the historical behaviour.
-  /// Non-zero: the value replaces the context uid in the tags, so two runs
-  /// passing the same namespace share packed panels *across jobs*. Callers
-  /// passing equal namespaces promise bit-identical global B contents
-  /// (same n, same fill seed) — the same caller-asserted identity contract
-  /// as blas b_pack_key. The multi-job service derives this from
-  /// (context epoch, plan key, seed); recovery phases stay safe either way
-  /// because the partition epoch is always folded in alongside.
-  std::uint64_t pack_namespace = 0;
 };
 
 /// Per-rank accounting returned by one SummaGen execution.
@@ -106,7 +84,7 @@ struct RankReport {
   std::int64_t flops = 0;          ///< local floating-point operations
   double kernel_compute_s = 0.0;   ///< modeled in-core kernel time
   double kernel_transfer_s = 0.0;  ///< modeled host<->device staging time
-  /// Broadcast cost hidden behind local compute by the pipelined
+  /// Broadcast cost hidden behind local compute by the overlapping
   /// scheduler (always 0 under kEager) — this rank's overlap win.
   double hidden_comm_s = 0.0;
 };

@@ -14,20 +14,9 @@ bool member(const TaskNode& n, int rank) {
   return std::find(n.owners.begin(), n.owners.end(), rank) != n.owners.end();
 }
 
-/// Largest id among a node's live comm predecessors (-1 = none): the
-/// completion horizon a kLazy reader waits for.
-int max_comm_pred(const std::vector<TaskNode>& nodes, const TaskNode& n) {
-  int dep = -1;
-  for (int p : n.preds) {
-    const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
-    if (!pn.dropped && pn.is_comm()) dep = std::max(dep, p);
-  }
-  return dep;
-}
-
-/// Shared post/complete machinery of the kLazy and kDataflow schedules:
-/// this rank's comm nodes, posted in ascending id up to `window` ahead and
-/// completed in the same order.
+/// Post/complete machinery of the kDataflow schedule: this rank's comm
+/// nodes, posted in ascending id up to `window` ahead and completed in the
+/// same order.
 class CommPipeline {
  public:
   CommPipeline(const std::vector<TaskNode>& nodes, int rank, int window,
@@ -43,25 +32,11 @@ class CommPipeline {
     }
   }
 
-  std::size_t size() const { return comms_.size(); }
   bool exhausted() const { return next_complete_ >= comms_.size(); }
   int next_id() const { return comms_[next_complete_]; }
 
-  /// Completes posted comm nodes while the next one's id is <= `dep`,
-  /// then tops the posting window back up. Mirrors the historical
-  /// pipelined complete_through exactly (posting only ever happens here,
-  /// so a schedule that never reads a comm never posts ahead of need).
-  void complete_through(int dep) {
-    while (next_complete_ < comms_.size() &&
-           comms_[next_complete_] <= dep) {
-      while (next_post_ <= next_complete_) post_one();
-      complete_one();
-    }
-    top_up();
-  }
-
-  /// Completes exactly the next comm node in order (kDataflow's "nothing
-  /// computable — block on the pipeline head") and returns its id.
+  /// Completes exactly the next comm node in order ("nothing computable —
+  /// block on the pipeline head") and returns its id.
   int complete_next() {
     const int id = comms_[next_complete_];
     while (next_post_ <= next_complete_) post_one();
@@ -130,22 +105,6 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
     }
     hooks.run_local(n);
   }
-}
-
-void run_lazy(const TaskGraph& graph, int rank, int window,
-              const ExecHooks& hooks) {
-  const auto& nodes = graph.nodes();
-  CommPipeline pipeline(nodes, rank, window, hooks);
-  for (const TaskNode& n : nodes) {
-    if (n.dropped || n.is_comm() || n.owner != rank) continue;
-    const int dep = max_comm_pred(nodes, n);
-    // Every GEMM chunk drives the pipeline (a dependency-free chunk still
-    // tops the posting window up, as the historical scheduler did); pure
-    // local nodes without comm inputs do not touch it.
-    if (n.kind == NodeKind::kGemm || dep >= 0) pipeline.complete_through(dep);
-    hooks.run_local(n);
-  }
-  pipeline.complete_through(std::numeric_limits<int>::max());
 }
 
 void run_dataflow(const TaskGraph& graph, int rank, int window,
@@ -229,9 +188,6 @@ void run_graph(const TaskGraph& graph, int rank, GraphSchedule schedule,
   switch (schedule) {
     case GraphSchedule::kProgram:
       run_program(graph, rank, hooks);
-      return;
-    case GraphSchedule::kLazy:
-      run_lazy(graph, rank, window, hooks);
       return;
     case GraphSchedule::kDataflow:
       run_dataflow(graph, rank, window, hooks);

@@ -1,6 +1,6 @@
 // Schedules of the task graph (src/core/taskgraph/taskgraph.hpp).
 //
-// One executor, three schedules — all legal topological orders of the same
+// One executor, two schedules — both legal topological orders of the same
 // graph, so they move the same bytes and accumulate every C element in the
 // same ascending-k order (bit-identity per SIMD tier):
 //
@@ -8,9 +8,6 @@
 //    nodes run blocking; consecutive kGemm chunk chains of one op may be
 //    fused into a single whole-kernel call (run_fused), reproducing the
 //    historical eager executor's call sequence and virtual timing exactly.
-//  * kLazy: local nodes in ascending id; each GEMM chunk first completes
-//    the posted comm nodes up to its last comm dependency, keeping at most
-//    `window` broadcasts in flight — the historical pipelined schedule.
 //  * kDataflow: ready-set driven. Comm nodes are posted ahead up to
 //    `window` and completed in ascending id (so subgroup collective order
 //    is preserved); whenever any local node has all dependencies
@@ -18,7 +15,7 @@
 //    comm completion when nothing is computable — compute never waits on a
 //    broadcast another chunk could hide.
 //
-// Determinism: all three schedules are functions of the graph structure
+// Determinism: both schedules are functions of the graph structure
 // alone (ready-set ties break by lowest id, completions are in-order), so
 // a run's schedule — and with it the virtual timeline — is exactly
 // reproducible.
@@ -47,7 +44,6 @@ namespace summagen::core::taskgraph {
 
 enum class GraphSchedule {
   kProgram,   ///< ascending node id (the eager order)
-  kLazy,      ///< complete-before-first-reader (the pipelined order)
   kDataflow,  ///< ready-set driven (the task-graph order)
 };
 
@@ -56,8 +52,6 @@ inline GraphSchedule schedule_for(Scheduler scheduler) {
   switch (scheduler) {
     case Scheduler::kEager:
       return GraphSchedule::kProgram;
-    case Scheduler::kPipelined:
-      return GraphSchedule::kLazy;
     case Scheduler::kTaskGraph:
       return GraphSchedule::kDataflow;
   }
@@ -71,8 +65,8 @@ inline GraphSchedule schedule_for(Scheduler scheduler) {
 ///    historical eager charge). Called with the first chunk node and the
 ///    chain length; the executor then skips the chain.
 ///  * post_comm/complete_comm — non-blocking split of a comm node (must be
-///    provided together). kLazy/kDataflow post up to `window` nodes ahead
-///    and complete them in posting order; without these hooks every comm
+///    provided together). kDataflow posts up to `window` nodes ahead
+///    and completes them in posting order; without these hooks every comm
 ///    node falls back to blocking run_comm at its completion slot. Posting
 ///    requires comm nodes without local predecessors (the executor may
 ///    post before predecessors ran).

@@ -1,15 +1,11 @@
 // Data-dependency task graph for the SUMMA-family executions.
 //
-// Every algorithm in core/ used to hard-code exactly one op ordering: the
-// SummaGen ExecutionPlan was replayed front-to-back (eager) or with a
-// deferred-completion window (pipelined), and SUMMA/2.5D ran a fixed step
-// loop. The task graph splits *what must happen before what* from *when it
+// The task graph splits *what must happen before what* from *when it
 // happens*: nodes are panel broadcasts, local copies, B/A-panel packs,
 // k-chunked GEMM accumulations, and 2.5D reductions; edges are read/write
 // dependencies. Schedulers (src/core/taskgraph/executor.hpp) then execute
-// any legal topological order — the eager and pipelined schedules are two
-// constrained orders of the same graph, and the dataflow scheduler runs
-// whatever is ready.
+// a legal topological order — the eager schedule replays the construction
+// (program) order, and the dataflow schedule runs whatever is ready.
 //
 // Determinism contract: every rank builds the graph from the same
 // deterministic inputs (the per-rank identical ExecutionPlan, or the
@@ -21,7 +17,7 @@
 // Recovery contract: shrink-and-repartition recovery prunes the graph
 // (prune_completed) instead of rewriting op lists. Node ids are stable
 // under pruning — dropped nodes stay in place and every executor skips
-// them — so chunk->broadcast dependencies survive filtering and all three
+// them — so chunk->broadcast dependencies survive filtering and both
 // schedulers remain legal on the un-run subgraph.
 #pragma once
 

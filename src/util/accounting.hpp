@@ -11,8 +11,8 @@
 // synchronisation, and the hot paths only pay an uncontended atomic add.
 //
 // Per-job scoping: process-wide snapshot deltas misattribute events when
-// experiments overlap (the multi-tenant service runs many jobs over the
-// shared runtime at once), so every record_* call additionally credits the
+// other work records concurrently (another thread's DGEMMs, a test driving
+// kernels alongside a run), so every record_* call additionally credits the
 // StatsSink installed on the recording thread, if any. The sink travels
 // with the work: a rank thread installs its job's sink for its lifetime,
 // and sgpool tasks inherit the submitting thread's sink (the pool

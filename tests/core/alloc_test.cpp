@@ -7,7 +7,7 @@
 // over the globals and leases every transient from the BufferPool, so once
 // the pool is warm a run performs ZERO data-plane heap allocations: at
 // least 5x below the seed on every shape, and in particular nothing per
-// k-chunk in the pipelined scheduler's steady state.
+// k-chunk in the chunk-pipelined (kTaskGraph) scheduler's steady state.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +29,9 @@ struct ShapeCase {
   const char* name;
   // Seed-implementation bytes allocated per N=1024 numeric run (measured
   // over the execution window: local stores + execution + C gather), for
-  // the eager and pipelined schedulers respectively.
+  // the eager and the k-chunked (seed: pipelined) schedulers respectively.
+  // The chunked bound now applies to kTaskGraph, which executes the same
+  // k-chunks.
   std::int64_t seed_eager_bytes;
   std::int64_t seed_pipelined_bytes;
 };
@@ -65,7 +67,7 @@ ExperimentConfig numeric_config(Shape shape, Scheduler scheduler) {
 // comfortably beat the >= 5x acceptance bound against the seed baseline.
 TEST(AllocSteadyState, WarmNumericRunsAllocateNothing) {
   for (const ShapeCase& sc : kCases) {
-    for (Scheduler scheduler : {Scheduler::kEager, Scheduler::kPipelined}) {
+    for (Scheduler scheduler : {Scheduler::kEager, Scheduler::kTaskGraph}) {
       const ExperimentConfig config = numeric_config(sc.shape, scheduler);
       const ExperimentResult cold = core::run_pmm(config);
       ASSERT_TRUE(cold.verified) << sc.name;
@@ -74,7 +76,7 @@ TEST(AllocSteadyState, WarmNumericRunsAllocateNothing) {
 
       const std::string label =
           std::string(sc.name) +
-          (scheduler == Scheduler::kEager ? "/eager" : "/pipelined");
+          (scheduler == Scheduler::kEager ? "/eager" : "/taskgraph");
       const std::int64_t seed_bytes = scheduler == Scheduler::kEager
                                           ? sc.seed_eager_bytes
                                           : sc.seed_pipelined_bytes;
@@ -95,12 +97,13 @@ TEST(AllocSteadyState, WarmNumericRunsAllocateNothing) {
   }
 }
 
-// Zero per-k-chunk allocations in the pipelined steady state: k-chunk
-// count scales with n/panel, so if any per-chunk allocation existed the
-// delta between two warm runs at different chunk counts would show it.
+// Zero per-k-chunk allocations in the chunk-pipelined (kTaskGraph) steady
+// state: k-chunk count scales with n/panel, so if any per-chunk allocation
+// existed the delta between two warm runs at different chunk counts would
+// show it.
 TEST(AllocSteadyState, PipelinedChunkCountDoesNotChangeAllocations) {
   ExperimentConfig config =
-      numeric_config(Shape::kSquareCorner, Scheduler::kPipelined);
+      numeric_config(Shape::kSquareCorner, Scheduler::kTaskGraph);
   config.n = 512;
   core::run_pmm(config);  // warm the pool for this problem size
   const ExperimentResult coarse = core::run_pmm(config);

@@ -357,8 +357,7 @@ TEST(DriftRuns, BudgetBoundsThrashingRepartitions) {
 }
 
 TEST(DriftRuns, DeterministicAcrossRepeatedRuns) {
-  for (Scheduler scheduler :
-       {Scheduler::kEager, Scheduler::kPipelined, Scheduler::kTaskGraph}) {
+  for (Scheduler scheduler : {Scheduler::kEager, Scheduler::kTaskGraph}) {
     auto config = drift_config();
     config.summagen_options.scheduler = scheduler;
     // Eager fuses each cell into one step; arm the detector accordingly.
@@ -393,8 +392,7 @@ TEST(DriftRuns, DeterministicAcrossRepeatedRuns) {
 // A crash landing while a drift-triggered re-partition is being handled
 // must still shrink and verify — under every scheduler.
 TEST(DriftRuns, CrashDuringDriftRepartitionRecovers) {
-  for (Scheduler scheduler :
-       {Scheduler::kEager, Scheduler::kPipelined, Scheduler::kTaskGraph}) {
+  for (Scheduler scheduler : {Scheduler::kEager, Scheduler::kTaskGraph}) {
     auto config = drift_config();
     config.summagen_options.scheduler = scheduler;
     config.repartition.enabled = true;

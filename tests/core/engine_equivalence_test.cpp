@@ -1,7 +1,7 @@
 // Engine equivalence (DESIGN.md §5.14): the modeled engine — every rank a
 // cooperative fiber on one scheduler thread — must be indistinguishable
 // from the thread engine in everything but host cost. Across the four
-// paper shapes and all three schedulers, the numeric C must be
+// paper shapes and both schedulers, the numeric C must be
 // bit-identical and the full virtual timeline (execution, computation,
 // communication, hidden overlap, per rank) must match EXACTLY — the
 // modeled engine is a cheaper execution of the same schedule, never a
@@ -24,8 +24,7 @@ using core::ExperimentResult;
 using core::Scheduler;
 using partition::Shape;
 
-constexpr Scheduler kSchedulers[] = {Scheduler::kEager, Scheduler::kPipelined,
-                                     Scheduler::kTaskGraph};
+constexpr Scheduler kSchedulers[] = {Scheduler::kEager, Scheduler::kTaskGraph};
 
 /// Gathers the full distributed C of one numeric execution under the
 /// given engine.

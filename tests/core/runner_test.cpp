@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 namespace summagen::core {
 namespace {
@@ -291,6 +296,75 @@ TEST(Runner, ClusterTopologyRaisesCommTime) {
   const auto slow = run_pmm(config);
   EXPECT_GT(slow.comm_time_s, 2.0 * fast.comm_time_s);
   EXPECT_DOUBLE_EQ(slow.comp_time_s, fast.comp_time_s);
+}
+
+// One run owns the process-wide pool and caches at a time: a run_pmm call
+// that starts while another is in flight must be refused up front, never
+// reconfigure the pool under the running job. A "long" caller retries one
+// large numeric run until it gets the runtime; a "short" caller meanwhile
+// runs a small one back to back, so its calls land inside the long run and
+// must be refused. Every call either reproduces its solo result exactly or
+// throws std::logic_error.
+TEST(Runner, OverlappingCallsThrowOrMatchSoloRuns) {
+  ExperimentConfig long_config = base_config();
+  long_config.n = 384;
+  long_config.numeric = true;
+  ExperimentConfig short_config = long_config;
+  short_config.n = 96;
+  short_config.shape = partition::Shape::kBlockRectangle;
+  short_config.summagen_options.scheduler = Scheduler::kTaskGraph;
+  short_config.summagen_options.bcast_panel_rows = 16;
+  const ExperimentResult long_solo = run_pmm(long_config);
+  const ExperimentResult short_solo = run_pmm(short_config);
+  ASSERT_TRUE(long_solo.verified);
+  ASSERT_TRUE(short_solo.verified);
+
+  const auto matches = [](const ExperimentResult& res,
+                          const ExperimentResult& solo) {
+    return res.verified && res.exec_time_s == solo.exec_time_s;
+  };
+  std::atomic<bool> long_done{false};
+  bool long_ok = false;
+  int short_refused = 0, short_wrong = 0;
+  std::thread long_caller([&] {
+    for (;;) {
+      try {
+        const ExperimentResult res = run_pmm(long_config);
+        long_ok = matches(res, long_solo);
+        break;
+      } catch (const std::logic_error&) {
+        std::this_thread::yield();  // the short caller holds the runtime
+      } catch (const std::exception&) {
+        break;  // any other failure leaves long_ok false
+      }
+    }
+    long_done.store(true);
+  });
+  std::thread short_caller([&] {
+    while (!long_done.load()) {
+      try {
+        if (!matches(run_pmm(short_config), short_solo)) ++short_wrong;
+        // Leave the runtime free for a moment so the long caller gets in.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      } catch (const std::logic_error&) {
+        ++short_refused;
+      } catch (const std::exception&) {
+        ++short_wrong;
+      }
+    }
+  });
+  long_caller.join();
+  short_caller.join();
+
+  EXPECT_TRUE(long_ok);
+  EXPECT_EQ(short_wrong, 0);
+  EXPECT_GE(short_refused, 1) << "no call overlapped the long run";
+  // The guard is released on every exit, a throwing run included: a later
+  // solo call still runs.
+  ExperimentConfig bad = short_config;
+  bad.preset_areas = {10, 20};  // rejected by the plan phase, mid-run
+  EXPECT_THROW(run_pmm(bad), std::invalid_argument);
+  EXPECT_TRUE(run_pmm(short_config).verified);
 }
 
 TEST(DefaultFpmModels, OnePerDeviceCoveringN) {

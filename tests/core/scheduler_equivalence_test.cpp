@@ -1,9 +1,8 @@
-// Scheduler equivalence: kPipelined and kTaskGraph must produce
-// bit-identical C to kEager across all four paper shapes, and their
-// modeled timelines must obey the overlap invariants (never slower than
-// eager at unbounded depth, same broadcast count and bytes — overlap hides
-// cost, it never changes what is communicated; the dataflow schedule is
-// additionally never slower than the in-order pipeline).
+// Scheduler equivalence: kTaskGraph must produce bit-identical C to kEager
+// across all four paper shapes, and its modeled timeline must obey the
+// overlap invariants (never slower than eager at unbounded depth, same
+// broadcast count and bytes — overlap hides cost, it never changes what is
+// communicated).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -65,17 +64,14 @@ TEST_P(SchedulerEquivalence, OverlappingCBitIdenticalToEager) {
   const Shape shape = GetParam();
   const util::Matrix eager =
       distributed_c(shape, Scheduler::kEager, 0, /*panel_rows=*/0);
-  for (const Scheduler sched : {Scheduler::kPipelined,
-                                Scheduler::kTaskGraph}) {
-    for (const int depth : {0, 1, 2}) {
-      for (const std::int64_t panel_rows :
-           {std::int64_t{0}, std::int64_t{16}}) {
-        const util::Matrix overlapped =
-            distributed_c(shape, sched, depth, panel_rows);
-        EXPECT_EQ(util::Matrix::max_abs_diff(eager, overlapped), 0.0)
-            << partition::shape_name(shape) << " " << core::to_string(sched)
-            << " depth=" << depth << " panel_rows=" << panel_rows;
-      }
+  for (const int depth : {0, 1, 2}) {
+    for (const std::int64_t panel_rows :
+         {std::int64_t{0}, std::int64_t{16}}) {
+      const util::Matrix overlapped =
+          distributed_c(shape, Scheduler::kTaskGraph, depth, panel_rows);
+      EXPECT_EQ(util::Matrix::max_abs_diff(eager, overlapped), 0.0)
+          << partition::shape_name(shape) << " depth=" << depth
+          << " panel_rows=" << panel_rows;
     }
   }
 }
@@ -99,70 +95,46 @@ TEST_P(SchedulerEquivalence, OverlapNeverSlowerAndTrafficIdentical) {
   const Shape shape = GetParam();
   const ExperimentResult eager =
       core::run_pmm(comm_bound_config(shape, Scheduler::kEager));
-  const ExperimentResult pipelined =
-      core::run_pmm(comm_bound_config(shape, Scheduler::kPipelined));
   const ExperimentResult taskgraph =
       core::run_pmm(comm_bound_config(shape, Scheduler::kTaskGraph));
 
-  EXPECT_LE(pipelined.exec_time_s, eager.exec_time_s * (1.0 + 1e-9))
-      << partition::shape_name(shape);
-  // The dataflow schedule only ever moves compute earlier relative to the
-  // same comm completion order, so it dominates the in-order pipeline too.
-  EXPECT_LE(taskgraph.exec_time_s, pipelined.exec_time_s * (1.0 + 1e-9))
-      << partition::shape_name(shape);
-
   // Overlap hides broadcast cost; it never changes what is communicated.
-  ASSERT_EQ(eager.reports.size(), pipelined.reports.size());
   ASSERT_EQ(eager.reports.size(), taskgraph.reports.size());
   for (std::size_t r = 0; r < eager.reports.size(); ++r) {
-    EXPECT_EQ(eager.reports[r].bcasts, pipelined.reports[r].bcasts)
-        << "rank " << r;
-    EXPECT_EQ(eager.reports[r].bcast_bytes, pipelined.reports[r].bcast_bytes)
-        << "rank " << r;
     EXPECT_EQ(eager.reports[r].bcasts, taskgraph.reports[r].bcasts)
         << "rank " << r;
     EXPECT_EQ(eager.reports[r].bcast_bytes, taskgraph.reports[r].bcast_bytes)
         << "rank " << r;
   }
 
-  // The eager schedule hides nothing; the comm-bound overlapping runs must
+  // The eager schedule hides nothing; the comm-bound overlapping run must
   // hide something on at least one rank and be strictly faster.
   EXPECT_EQ(eager.hidden_comm_time_s, 0.0);
-  EXPECT_GT(pipelined.hidden_comm_time_s, 0.0)
-      << partition::shape_name(shape);
   EXPECT_GT(taskgraph.hidden_comm_time_s, 0.0)
-      << partition::shape_name(shape);
-  EXPECT_LT(pipelined.exec_time_s, eager.exec_time_s)
       << partition::shape_name(shape);
   EXPECT_LT(taskgraph.exec_time_s, eager.exec_time_s)
       << partition::shape_name(shape);
 
   // Total computation is scheduler-invariant: the chunks are pro-rata
   // slices of the same kernel invocations.
-  EXPECT_NEAR(pipelined.comp_time_s, eager.comp_time_s,
-              1e-9 * eager.comp_time_s);
   EXPECT_NEAR(taskgraph.comp_time_s, eager.comp_time_s,
               1e-9 * eager.comp_time_s);
 }
 
 TEST_P(SchedulerEquivalence, BoundedDepthStillVerifiesNumerically) {
   const Shape shape = GetParam();
-  for (const Scheduler sched : {Scheduler::kPipelined,
-                                Scheduler::kTaskGraph}) {
-    ExperimentConfig config;
-    config.platform = device::Platform::hclserver1();
-    config.n = 96;
-    config.shape = shape;
-    config.cpm_speeds = {1.0, 2.0, 0.9};
-    config.numeric = true;
-    config.summagen_options.scheduler = sched;
-    config.summagen_options.overlap_depth = 1;  // smallest legal window
-    config.summagen_options.bcast_panel_rows = 8;
-    const ExperimentResult res = core::run_pmm(config);
-    EXPECT_TRUE(res.verified)
-        << partition::shape_name(shape) << " " << core::to_string(sched)
-        << " " << res.max_abs_error;
-  }
+  ExperimentConfig config;
+  config.platform = device::Platform::hclserver1();
+  config.n = 96;
+  config.shape = shape;
+  config.cpm_speeds = {1.0, 2.0, 0.9};
+  config.numeric = true;
+  config.summagen_options.scheduler = Scheduler::kTaskGraph;
+  config.summagen_options.overlap_depth = 1;  // smallest legal window
+  config.summagen_options.bcast_panel_rows = 8;
+  const ExperimentResult res = core::run_pmm(config);
+  EXPECT_TRUE(res.verified)
+      << partition::shape_name(shape) << " " << res.max_abs_error;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,7 +1,8 @@
 // sgpool executor tests: primitives (task groups, stealing, exceptions,
 // nesting), the no-thread-spawn-in-dgemm guarantee, concurrent dgemm
 // callers vs a serial oracle, kPacked equivalence, and the pool under the
-// pipelined SummaGen scheduler (this binary also runs in the TSan CI job).
+// chunk-pipelined (kTaskGraph) SummaGen scheduler (this binary also runs in
+// the TSan CI job).
 #include "src/pool/pool.hpp"
 
 #include <gtest/gtest.h>
@@ -286,7 +287,7 @@ TEST(Pool, PackedBitIdenticalToBlockedAndThreaded) {
 }
 
 TEST(Pool, PipelinedSchedulerOnPoolVerifies) {
-  // The k-chunked pipelined schedule issues local DGEMMs from three rank
+  // The k-chunked task-graph schedule issues local DGEMMs from three rank
   // threads concurrently with outstanding broadcasts — exactly the workload
   // that oversubscribed the host before the shared pool. Run it numerically
   // end-to-end (TSan covers this binary in CI).
@@ -294,7 +295,7 @@ TEST(Pool, PipelinedSchedulerOnPoolVerifies) {
   config.platform = device::Platform::hclserver1();
   config.n = 144;
   config.numeric = true;
-  config.summagen_options.scheduler = core::Scheduler::kPipelined;
+  config.summagen_options.scheduler = core::Scheduler::kTaskGraph;
   config.summagen_options.overlap_depth = 2;
   config.summagen_options.bcast_panel_rows = 24;
   for (GemmKernel kernel : {GemmKernel::kThreaded, GemmKernel::kPacked}) {

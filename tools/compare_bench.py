@@ -25,22 +25,21 @@ Benchmarks without items_per_second fall back to comparing real_time
 (higher is worse), with the same ratio threshold.
 
 Counter metrics: benches may export extra numeric counters on a row
-(latency percentiles and throughput from service_load, alloc counters
-from micro_dgemm). --metric NAME[:MAX_RATIO][:higher] gates one such
-counter on every benchmark that exports it in BOTH files, each with its
-own regression ratio (defaulting to --max-ratio). The default direction
-is lower-is-better (latencies, shed fractions): current/baseline above
-the ratio fails. A trailing ":higher" flips the direction for
+(speedup_vs_classical from ablation_fastmm, alloc counters from
+micro_dgemm). --metric NAME[:MAX_RATIO][:higher] gates one such counter
+on every benchmark that exports it in BOTH files, each with its own
+regression ratio (defaulting to --max-ratio). The default direction is
+lower-is-better (latencies, byte counts): current/baseline above the
+ratio fails. A trailing ":higher" flips the direction for
 throughput-style counters: baseline/current above the ratio fails. A
 zero baseline gates exactness (any nonzero current value fails — the
 virtual-clock benches are deterministic, so a baseline of zero means
 zero is reproducible). Rows missing the counter in either file are
 skipped with a note, so mixed-schema files stay comparable.
 
-Example (the service-load gate):
-    tools/compare_bench.py bench/BENCH_service.json current.json \
-        --max-ratio 1.05 --metric latency_p50_s --metric latency_p99_s \
-        --metric throughput_jobs_per_s:1.05:higher --metric shed_fraction
+Example (the fast-MM gate):
+    tools/compare_bench.py bench/BENCH_fastmm.json current.json \
+        --max-ratio 1.3 --metric speedup_vs_classical:1.05:higher
 
 Repetitions: when a file was produced with --repeats (benchmark
 repetitions), the per-repetition rows are noisy; the gate uses the
