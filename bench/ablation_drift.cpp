@@ -17,7 +17,7 @@
 //    shape (the detector is observation-only; the only modeled cost is the
 //    fault-tolerant commit gate);
 //  * a small numeric run (--verify-n) with drift + re-partitioning still
-//    verifies against the serial reference on every shape.
+//    verifies against the reference product on every shape.
 //
 // Flags: --n 2048  --victim 1  --factor 2.5  --at-frac 0.3
 //        --panel-rows 64  --budget 1  --verify-n 192  --min-wins 3
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
             << "\n";
 
   // Numeric cross-check: drift + online re-partitioning must leave C
-  // exactly matching the serial reference (two partition epochs, shared
+  // exactly matching the reference product (two partition epochs, shared
   // pack cache, shed compute re-executed by the new owners).
   std::cout << "\nNumeric verification (N=" << verify_n << "):\n";
   bool all_verified = true;

@@ -10,7 +10,7 @@
 // Acceptance bar: on every shape the crash run must finish in less than
 // --max-overhead (default 2.0) times the fault-free time — i.e. losing a
 // device mid-run costs less than starting over — and a small numeric run
-// with a mid-phase crash must still verify against the serial reference.
+// with a mid-phase crash must still verify against the reference product.
 //
 // Flags: --n 2048  --victim 1  --slow-factor 4  --max-overhead 2.0
 //        --verify-n 192
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
             << (within_budget ? "yes" : "NO") << "\n";
 
   // Numeric cross-check: a mid-phase crash must leave C exactly equal to
-  // the serial reference (survivors recompute all lost cells).
+  // the reference product (survivors recompute all lost cells).
   std::cout << "\nNumeric verification (N=" << verify_n << "):\n";
   bool all_verified = true;
   for (auto shape : shapes) {

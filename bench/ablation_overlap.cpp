@@ -14,7 +14,7 @@
 //  * every shape has >= 1 configuration where the task graph strictly
 //    beats eager while moving exactly the same broadcast bytes;
 //  * a small numeric run (--verify-n) cross-checks that the overlapped
-//    scheduler still verifies against the serial reference.
+//    scheduler still verifies against the reference product.
 //
 // Flags: --n 2048  --beta-scale 200  --panel-rows 0,64,512
 //        --depths 1,2,0  --verify-n 128  --json FILE (Google-Benchmark

@@ -5,7 +5,7 @@
 //   1. a hand-written non-rectangular spec (a pinwheel);
 //   2. the NRRP recursive partitioner's output;
 //   3. the Push-Technique descent's output;
-// each executed numerically and verified against the serial reference.
+// each executed numerically and verified against the reference product.
 //
 //   $ ./custom_partition [--n 240]
 #include <iostream>
@@ -45,8 +45,7 @@ std::pair<double, double> execute(const partition::PartitionSpec& spec,
   });
   util::Matrix c(spec.n, spec.n);
   for (int r = 0; r < p; ++r) locals[static_cast<std::size_t>(r)]->gather_c(spec, c);
-  const double err =
-      util::Matrix::max_abs_diff(c, core::reference_multiply(a, b));
+  const double err = core::reference_max_abs_error(a, b, c);
   return {err, runtime.max_vtime()};
 }
 

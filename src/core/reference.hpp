@@ -1,4 +1,11 @@
-// Serial reference for verification.
+// Reference product for verification.
+//
+// The reference is the packed kernel pinned to its scalar tier, run on
+// the shared pool at its current width. That tier keeps the per-element
+// l-ascending accumulation chain of the ikj kernel — one separately
+// rounded multiply and add per l, starting from zero — so every element of
+// the reference is bit-identical to kNaive/kBlocked, whatever the row-band
+// split, block sizes or pool width a call runs with.
 #pragma once
 
 #include <cstdint>
@@ -8,9 +15,21 @@
 
 namespace summagen::core {
 
-/// C = A * B with the blocked serial kernel — the oracle SummaGen results
-/// are checked against in tests and numeric experiments.
+/// Rows of the reference product reference_max_abs_error forms at a time.
+inline constexpr std::int64_t kReferenceBandRows = 256;
+
+/// C = A * B with the reference kernel — the oracle SummaGen results are
+/// checked against in tests and numeric experiments.
 util::Matrix reference_multiply(const util::Matrix& a, const util::Matrix& b);
+
+/// max |C - A*B| over all elements, equal bit for bit to
+/// `util::Matrix::max_abs_diff(c, reference_multiply(a, b))` but without
+/// the whole product: A*B is formed kReferenceBandRows rows at a time into
+/// one pooled band buffer and folded into a running maximum. NaN
+/// propagates as in util::max_abs_diff. Throws std::invalid_argument on
+/// shape mismatches.
+double reference_max_abs_error(const util::Matrix& a, const util::Matrix& b,
+                               const util::Matrix& c);
 
 /// Tolerance scale for comparing two n x n products of matrices with
 /// entries in [-1, 1]: |error| grows like n * eps under reassociation.

@@ -551,12 +551,17 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
       }
     }
     // Re-take the window with the gather included, then close the sink:
-    // the serial verification reference is measurement harness, not data
-    // plane, and must not bill the job.
+    // the verification reference is measurement harness, not data plane,
+    // and must not bill the job.
     take_alloc_window();
     stats_guard.reset();
-    const util::Matrix expected = reference_multiply(a, b);
-    result.max_abs_error = util::Matrix::max_abs_diff(c, expected);
+    // The rank threads have joined, so the pool is quiescent: widen it to
+    // the whole host for the reference (the next run's configure shrinks
+    // it back). The reference's scalar tier keeps each element's
+    // l-ascending chain whatever the band split or pool width, so the
+    // error is the same bits as against a whole kBlocked product.
+    sgpool::Pool::configure(sgpool::Pool::recommended_size(1));
+    result.max_abs_error = reference_max_abs_error(a, b, c);
     double tolerance = gemm_tolerance(config.n);
     if (config.kernel.fastmm != blas::FastMmKind::kClassical) {
       // Fast MM is norm-bound, not bit-identical: widen the element-wise

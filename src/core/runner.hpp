@@ -6,7 +6,7 @@
 // SummaGen over the sgmpi runtime with one abstract processor per rank ->
 // metric extraction (execution/computation/communication time split,
 // TFLOPs, communication volume, dynamic energy) and, on the numeric plane,
-// verification against the serial reference.
+// verification against the reference product (src/core/reference.hpp).
 #pragma once
 
 #include <cstddef>

@@ -47,9 +47,18 @@ double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     throw std::invalid_argument("max_abs_diff: shape mismatch");
   }
+  return util::max_abs_diff(a.span(), b.span());
+}
+
+double max_abs_diff(std::span<const double> x, std::span<const double> y) {
+  if (x.size() != y.size()) {
+    throw std::invalid_argument("max_abs_diff: length mismatch");
+  }
   double worst = 0.0;
-  for (std::size_t k = 0; k < a.data_.size(); ++k) {
-    worst = std::max(worst, std::abs(a.data_[k] - b.data_[k]));
+  for (std::size_t k = 0; k < x.size(); ++k) {
+    const double d = std::abs(x[k] - y[k]);
+    if (std::isnan(d)) return d;  // std::max would drop it
+    worst = std::max(worst, d);
   }
   return worst;
 }

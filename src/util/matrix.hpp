@@ -56,7 +56,8 @@ class Matrix {
   /// Sets every element to `value`.
   void fill(double value);
 
-  /// Frobenius norm of the difference, useful for verification.
+  /// Largest element-wise |a - b| (see the span overload: NaN propagates).
+  /// Throws std::invalid_argument on a shape mismatch.
   static double max_abs_diff(const Matrix& a, const Matrix& b);
 
   bool operator==(const Matrix& other) const = default;
@@ -66,6 +67,13 @@ class Matrix {
   std::int64_t cols_ = 0;
   std::vector<double> data_;
 };
+
+/// Largest element-wise |x[i] - y[i]| over two equally long spans (0 when
+/// empty). A NaN difference — a NaN in either operand, or Inf - Inf —
+/// returns NaN, so a `max_abs_diff(...) <= tolerance` check fails on it
+/// instead of folding it away. Throws std::invalid_argument on a length
+/// mismatch.
+double max_abs_diff(std::span<const double> x, std::span<const double> y);
 
 /// Copies a `rows x cols` block between two row-major buffers with
 /// leading dimensions `dst_ld` / `src_ld` (in elements).

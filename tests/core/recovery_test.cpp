@@ -1,5 +1,5 @@
 // Shrink-and-repartition recovery: SummaGen survives rank crashes and
-// slowdowns with the numeric C still matching the serial reference.
+// slowdowns with the numeric C still matching the reference product.
 #include "src/core/recovery.hpp"
 
 #include <gtest/gtest.h>

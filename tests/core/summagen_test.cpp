@@ -1,6 +1,6 @@
 // End-to-end correctness of the SummaGen algorithm on the numeric plane:
 // for every shape, every regime and a spread of sizes, the distributed
-// product must match the serial reference.
+// product must match the reference product.
 #include <gtest/gtest.h>
 
 #include "src/core/reference.hpp"

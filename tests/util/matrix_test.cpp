@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "src/util/rng.hpp"
 
@@ -70,6 +74,31 @@ TEST(Matrix, MaxAbsDiff) {
 TEST(Matrix, MaxAbsDiffShapeMismatchThrows) {
   Matrix a(2, 2), b(2, 3);
   EXPECT_THROW(Matrix::max_abs_diff(a, b), std::invalid_argument);
+}
+
+// std::max(worst, NaN) keeps `worst`, so a plain max fold would report 0
+// for a C full of NaN; the difference must propagate NaN instead.
+TEST(Matrix, MaxAbsDiffPropagatesNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int at = 0; at < 4; ++at) {
+    Matrix a(2, 2, 1.0);
+    const Matrix b(2, 2, 1.0);
+    a.data()[at] = nan;
+    EXPECT_TRUE(std::isnan(Matrix::max_abs_diff(a, b))) << at;
+    EXPECT_TRUE(std::isnan(Matrix::max_abs_diff(b, a))) << at;
+  }
+  Matrix a(2, 2, 1.0);
+  const Matrix b(2, 2, 1.0);
+  a(1, 0) = 3.0;
+  a(1, 1) = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Matrix::max_abs_diff(a, b),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(Matrix, MaxAbsDiffSpanLengthMismatchThrows) {
+  const std::vector<double> x(3, 0.0), y(4, 0.0);
+  EXPECT_THROW(max_abs_diff(x, y), std::invalid_argument);
+  EXPECT_EQ(max_abs_diff(std::span<const double>(), {}), 0.0);
 }
 
 TEST(CopyMatrix, ContiguousFastPath) {
