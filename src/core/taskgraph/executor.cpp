@@ -4,31 +4,27 @@
 #include <deque>
 #include <limits>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
 namespace summagen::core::taskgraph {
 namespace {
 
-bool member(const TaskNode& n, int rank) {
-  return std::find(n.owners.begin(), n.owners.end(), rank) != n.owners.end();
-}
-
 /// Post/complete machinery of the kDataflow schedule: this rank's comm
 /// nodes, posted in ascending id up to `window` ahead and completed in the
 /// same order.
 class CommPipeline {
  public:
-  CommPipeline(const std::vector<TaskNode>& nodes, int rank, int window,
-               const ExecHooks& hooks)
+  CommPipeline(const std::vector<TaskNode>& nodes, std::span<const int> mine,
+               int window, const ExecHooks& hooks)
       : nodes_(nodes),
         hooks_(hooks),
         depth_(window <= 0 ? std::numeric_limits<std::size_t>::max()
                            : static_cast<std::size_t>(window)) {
-    for (const TaskNode& n : nodes) {
-      if (!n.dropped && n.is_comm() && member(n, rank)) {
-        comms_.push_back(n.id);
-      }
+    for (int id : mine) {
+      const TaskNode& n = nodes[static_cast<std::size_t>(id)];
+      if (!n.dropped && n.is_comm()) comms_.push_back(id);
     }
   }
 
@@ -82,25 +78,28 @@ class CommPipeline {
 
 void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  for (std::size_t id = 0; id < nodes.size(); ++id) {
-    const TaskNode& n = nodes[id];
+  const std::span<const int> mine = graph.rank_nodes(rank);
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    const TaskNode& n = nodes[static_cast<std::size_t>(mine[k])];
     if (n.dropped) continue;
     if (n.is_comm()) {
-      if (member(n, rank)) hooks.run_comm(n);
+      hooks.run_comm(n);
       continue;
     }
-    if (n.owner != rank) continue;
     if (n.kind == NodeKind::kGemm && hooks.run_fused) {
       // Fuse the consecutive chunk chain of this op into one whole-kernel
       // call — the historical eager executor's single charge per DGEMM.
+      // A chain's chunks share an owner, so they are consecutive here too.
       std::size_t count = 1;
-      while (id + count < nodes.size() &&
-             nodes[id + count].kind == NodeKind::kGemm &&
-             nodes[id + count].payload == n.payload) {
+      while (k + count < mine.size() &&
+             mine[k + count] == n.id + static_cast<int>(count)) {
+        const TaskNode& next =
+            nodes[static_cast<std::size_t>(mine[k + count])];
+        if (next.kind != NodeKind::kGemm || next.payload != n.payload) break;
         ++count;
       }
       hooks.run_fused(n, static_cast<int>(count));
-      id += count - 1;
+      k += count - 1;
       continue;
     }
     hooks.run_local(n);
@@ -110,33 +109,41 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
 void run_dataflow(const TaskGraph& graph, int rank, int window,
                   const ExecHooks& hooks) {
   const auto& nodes = graph.nodes();
-  CommPipeline pipeline(nodes, rank, window, hooks);
+  const std::span<const int> mine = graph.rank_nodes(rank);
+  CommPipeline pipeline(nodes, mine, window, hooks);
+
+  // Position of node `id` in this rank's index, or -1 when the rank does
+  // not execute it (another rank's local node or a foreign collective).
+  const auto slot = [&](int id) -> std::ptrdiff_t {
+    const auto it = std::lower_bound(mine.begin(), mine.end(), id);
+    return it != mine.end() && *it == id ? it - mine.begin() : -1;
+  };
 
   // Pending-predecessor counts over the nodes this rank can observe:
-  // its own local nodes and the comm nodes it participates in.
-  std::vector<int> npred(nodes.size(), 0);
-  std::vector<char> done(nodes.size(), 0);
+  // its own local nodes and the comm nodes it participates in. Indexed
+  // by position in `mine`.
+  std::vector<int> npred(mine.size(), 0);
+  std::vector<char> done(mine.size(), 0);
   std::set<int> ready;  // my local nodes with all dependencies satisfied
   std::size_t nlocal = 0;
-  for (const TaskNode& n : nodes) {
-    if (n.dropped || n.is_comm() || n.owner != rank) continue;
+  for (std::size_t k = 0; k < mine.size(); ++k) {
+    const TaskNode& n = nodes[static_cast<std::size_t>(mine[k])];
+    if (n.dropped || n.is_comm()) continue;
     ++nlocal;
     int cnt = 0;
     for (int p : n.preds) {
-      const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
-      if (pn.dropped) continue;
-      if (pn.is_comm() ? member(pn, rank) : pn.owner == rank) ++cnt;
+      if (!nodes[static_cast<std::size_t>(p)].dropped && slot(p) >= 0) ++cnt;
     }
-    npred[static_cast<std::size_t>(n.id)] = cnt;
+    npred[k] = cnt;
     if (cnt == 0) ready.insert(n.id);
   }
 
   auto finish = [&](int id) {
-    done[static_cast<std::size_t>(id)] = 1;
+    done[static_cast<std::size_t>(slot(id))] = 1;
     for (int s : nodes[static_cast<std::size_t>(id)].succs) {
       const TaskNode& sn = nodes[static_cast<std::size_t>(s)];
       if (sn.dropped || sn.is_comm() || sn.owner != rank) continue;
-      if (--npred[static_cast<std::size_t>(s)] == 0) ready.insert(s);
+      if (--npred[static_cast<std::size_t>(slot(s))] == 0) ready.insert(s);
     }
   };
 
@@ -164,7 +171,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     for (int p : head.preds) {
       const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
       if (!pn.dropped && !pn.is_comm() && pn.owner == rank &&
-          !done[static_cast<std::size_t>(p)]) {
+          !done[static_cast<std::size_t>(slot(p))]) {
         throw std::logic_error(
             "taskgraph: comm node ordered before its local predecessor");
       }

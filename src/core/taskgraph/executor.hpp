@@ -21,10 +21,12 @@
 // reproducible.
 //
 // Rank projection: the executor runs one rank. Local nodes execute iff
-// node.owner == rank; comm nodes iff rank is in node.owners; dependencies
-// on nodes this rank cannot observe (another rank's local work) are
-// treated as satisfied — cross-rank ordering is what the collectives
-// themselves enforce.
+// node.owner == rank; comm nodes iff rank is in node.owners — exactly the
+// graph's rank index (TaskGraph::rank_nodes), which is all the executor
+// walks, so a rank's cost is O(its nodes) however many ranks share the
+// graph. Dependencies on nodes this rank cannot observe (another rank's
+// local work) are treated as satisfied — cross-rank ordering is what the
+// collectives themselves enforce.
 //
 // Node bodies and the shared pool: per-rank virtual time is a serial
 // resource, so the executor runs node bodies on the rank thread; the

@@ -9,6 +9,7 @@
 namespace summagen::core::taskgraph {
 
 int TaskGraph::add_local(NodeKind kind, int owner, int payload, int aux) {
+  if (owner < 0) throw std::logic_error("TaskGraph: negative owner rank");
   TaskNode n;
   n.kind = kind;
   n.id = static_cast<int>(nodes_.size());
@@ -16,6 +17,7 @@ int TaskGraph::add_local(NodeKind kind, int owner, int payload, int aux) {
   n.payload = payload;
   n.aux = aux;
   nodes_.push_back(std::move(n));
+  index(owner, nodes_.back().id);
   return nodes_.back().id;
 }
 
@@ -24,6 +26,9 @@ int TaskGraph::add_comm(NodeKind kind, std::vector<int> owners, int payload,
   if (owners.empty()) {
     throw std::logic_error("TaskGraph: comm node without owners");
   }
+  if (*std::min_element(owners.begin(), owners.end()) < 0) {
+    throw std::logic_error("TaskGraph: negative owner rank");
+  }
   TaskNode n;
   n.kind = kind;
   n.id = static_cast<int>(nodes_.size());
@@ -31,7 +36,29 @@ int TaskGraph::add_comm(NodeKind kind, std::vector<int> owners, int payload,
   n.payload = payload;
   n.aux = aux;
   nodes_.push_back(std::move(n));
-  return nodes_.back().id;
+  const TaskNode& added = nodes_.back();
+  for (int rank : added.owners) index(rank, added.id);
+  return added.id;
+}
+
+void TaskGraph::index(int rank, int id) {
+  const auto r = static_cast<std::size_t>(rank);
+  if (r >= rank_nodes_.size()) rank_nodes_.resize(r + 1);
+  std::vector<int>& ids = rank_nodes_[r];
+  if (ids.empty() || ids.back() != id) ids.push_back(id);  // owner listed twice
+}
+
+std::span<const int> TaskGraph::rank_nodes(int rank) const {
+  const auto r = static_cast<std::size_t>(rank);
+  if (rank < 0 || r >= rank_nodes_.size()) return {};
+  return rank_nodes_[r];
+}
+
+void TaskGraph::set_dropped(int id, bool dropped) {
+  if (id < 0 || id >= static_cast<int>(nodes_.size())) {
+    throw std::logic_error("TaskGraph: node id out of range");
+  }
+  nodes_[static_cast<std::size_t>(id)].dropped = dropped;
 }
 
 void TaskGraph::add_dep(int pred, int succ) {
@@ -106,6 +133,9 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
   TaskGraph g;
   const auto roff = spec.row_offsets();
   const auto coff = spec.col_offsets();
+  std::size_t nchunks = 0;
+  for (const GemmOp& gop : plan.gemm_ops) nchunks += gop.chunks.size();
+  g.reserve(plan.copy_ops.size() + plan.comm_ops.size() + nchunks);
 
   // Copy nodes first (ids 0..|copy_ops|-1, plan order), indexed by cell so
   // chunk nodes can depend on the copies feeding them — the cascade prune
@@ -189,24 +219,24 @@ TaskGraph build_summagen_graph(const partition::PartitionSpec& spec,
 
 void prune_completed(TaskGraph& graph, const ExecutionPlan& plan,
                      const std::set<std::pair<int, int>>& done) {
-  auto& nodes = graph.nodes();
-  for (TaskNode& n : nodes) {
+  const auto& nodes = graph.nodes();
+  for (const TaskNode& n : nodes) {
     if (n.kind != NodeKind::kGemm) continue;
     const GemmOp& gop = plan.gemm_ops[static_cast<std::size_t>(n.payload)];
-    if (done.count({gop.bi, gop.bj}) != 0) n.dropped = true;
+    if (done.count({gop.bi, gop.bj}) != 0) graph.set_dropped(n.id, true);
   }
   // A broadcast/copy survives iff some remaining DGEMM still reads it.
   // Every panel of row bi feeds a chunk of every DGEMM in row bi (a DGEMM
   // reads its whole row line), so this is exactly the historical rule
   // "keep an A op iff its row has a surviving DGEMM" (B: column).
-  for (TaskNode& n : nodes) {
+  for (const TaskNode& n : nodes) {
     if (n.kind != NodeKind::kBcast && n.kind != NodeKind::kCopy) continue;
     bool live_succ = false;
     for (int s : n.succs) {
       live_succ =
           live_succ || !nodes[static_cast<std::size_t>(s)].dropped;
     }
-    n.dropped = !live_succ;
+    graph.set_dropped(n.id, !live_succ);
   }
 }
 

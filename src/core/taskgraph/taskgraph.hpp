@@ -19,10 +19,16 @@
 // under pruning — dropped nodes stay in place and every executor skips
 // them — so chunk->broadcast dependencies survive filtering and both
 // schedulers remain legal on the un-run subgraph.
+//
+// Rank index: the graph keeps, per world rank, the ascending ids of the
+// nodes that rank executes, so a rank's executor walks its own nodes only
+// — O(its work), not O(graph) — even when p ranks share one graph.
+// Pruning only sets drop flags, so the index stays valid in pruned copies.
 #pragma once
 
 #include <cstdint>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -62,9 +68,9 @@ struct TaskNode {
 /// construction order therefore IS the program (eager) order.
 class TaskGraph {
  public:
-  /// Adds a local node executed by world rank `owner`.
+  /// Adds a local node executed by world rank `owner` (>= 0).
   int add_local(NodeKind kind, int owner, int payload, int aux = 0);
-  /// Adds a collective node over `owners` (ascending world ranks).
+  /// Adds a collective node over `owners` (ascending world ranks, >= 0).
   int add_comm(NodeKind kind, std::vector<int> owners, int payload,
                int aux = 0);
   /// Adds the edge pred -> succ. Both must already exist; duplicates and
@@ -72,16 +78,28 @@ class TaskGraph {
   void add_dep(int pred, int succ);
 
   const std::vector<TaskNode>& nodes() const { return nodes_; }
-  std::vector<TaskNode>& nodes() { return nodes_; }
   const TaskNode& node(int id) const;
   std::size_t size() const { return nodes_.size(); }
+  /// Reserves storage so that adding up to `nodes` nodes never reallocates.
+  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+
+  /// Marks node `id` pruned (or live again); executors skip dropped nodes.
+  void set_dropped(int id, bool dropped);
+
+  /// Ids of the nodes world rank `rank` executes — its local nodes and the
+  /// comm nodes it participates in — in ascending order. Empty for a rank
+  /// that owns no node.
+  std::span<const int> rank_nodes(int rank) const;
 
   /// Structural invariants: edge symmetry, id sanity, acyclicity (Kahn
   /// topological sort must consume every node). Throws std::logic_error.
   void validate() const;
 
  private:
+  void index(int rank, int id);
+
   std::vector<TaskNode> nodes_;
+  std::vector<std::vector<int>> rank_nodes_;  ///< see rank_nodes()
 };
 
 /// Builds the SummaGen graph from the per-rank identical plan: one kCopy

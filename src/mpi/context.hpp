@@ -29,8 +29,8 @@ namespace summagen::sgmpi::detail {
 /// exponentially from min(poll_interval_s, 1 ms) up to poll_interval_s;
 /// aborts and fault triggers notify the condition variable, so unwind
 /// latency is one wakeup, not a full poll period. Under the modeled engine
-/// a blocked participant yields to the fiber scheduler instead of sleeping
-/// (engine_wait_step).
+/// a blocked participant parks on the fiber scheduler instead of sleeping
+/// (engine_wait_step) and is resumed by the next notify (engine_notify_all).
 class Meeting {
  public:
   template <typename UnwindCheck, typename Contribute, typename Finalize>
@@ -42,21 +42,21 @@ class Meeting {
       finalize();
       count_ = 0;
       ++generation_;
-      cv_.notify_all();
+      engine_notify_all(cv_);
       return;
     }
     const std::uint64_t my_generation = generation_;
     double backoff_s = std::min(poll_interval_s, 0.001);
     while (generation_ == my_generation) {
       unwind_check();
-      engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+      engine_wait_step(lock, cv_, backoff_s, poll_interval_s, "meeting");
     }
     unwind_check();
   }
 
   /// Wakes every waiter (used on abort / fault trigger so blocked ranks
   /// re-run their unwind check immediately).
-  void notify() { cv_.notify_all(); }
+  void notify() { engine_notify_all(cv_); }
 
   /// Resets the meeting to its idle state. Only valid when no participant
   /// is inside `rendezvous` (the shrink finaliser holds this invariant:
@@ -65,7 +65,7 @@ class Meeting {
     std::lock_guard<std::mutex> lock(mutex_);
     count_ = 0;
     ++generation_;
-    cv_.notify_all();
+    engine_notify_all(cv_);
   }
 
  private:
@@ -269,10 +269,10 @@ class Context {
       std::lock_guard<std::mutex> lock(states_mutex);
       for (auto& st : states) {
         st.meeting.notify();
-        st.async_cv.notify_all();
+        detail::engine_notify_all(st.async_cv);
       }
     }
-    for (auto& box : mailboxes) box.cv.notify_all();
+    for (auto& box : mailboxes) detail::engine_notify_all(box.cv);
   }
 
   /// Resets all communicator fabric to its idle state: in-flight async

@@ -4,9 +4,14 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <new>
 #include <stdexcept>
+#include <system_error>
+
+#include "src/mpi/mpi.hpp"
 
 // Fiber switches move the stack pointer between unrelated allocations, which
 // ASan and TSan must be told about or they report false positives (and ASan's
@@ -58,6 +63,7 @@ struct FiberHost::Fiber {
   int index = -1;
   bool started = false;
   bool done = false;
+  const char* wait_site = nullptr;  ///< non-null while parked
   void* fake_stack = nullptr;  ///< ASan fake-stack save slot
   void* tsan_fiber = nullptr;
 
@@ -89,7 +95,12 @@ FiberHost::FiberHost(int nfibers, std::size_t stack_bytes) {
                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
     if (m == MAP_FAILED) throw std::bad_alloc();
     f->mapping = m;
-    ::mprotect(m, page_size(), PROT_NONE);  // overflow faults, not corrupts
+    // Overflow faults instead of corrupting. A failure (ENOMEM once the
+    // process hits vm.max_map_count) would leave a stack without a guard.
+    if (::mprotect(m, page_size(), PROT_NONE) != 0) {
+      throw std::system_error(errno, std::generic_category(),
+                              "sgmpi: FiberHost guard page mprotect");
+    }
     f->stack = static_cast<std::byte*>(m) + page_size();
     f->stack_bytes = stack_bytes_;
     fibers_.push_back(std::move(f));
@@ -165,11 +176,76 @@ void FiberHost::switch_back(Fiber& fiber, bool dying) {
   (void)dying;
 }
 
+void FiberHost::set_runnable(int index, bool runnable) {
+  const auto i = static_cast<std::size_t>(index);
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (runnable) {
+    runnable_[i / 64] |= bit;
+  } else {
+    runnable_[i / 64] &= ~bit;
+  }
+}
+
+int FiberHost::next_runnable(int from) const {
+  auto w = static_cast<std::size_t>(from) / 64;
+  if (w >= runnable_.size()) return -1;
+  std::uint64_t bits = runnable_[w] & (~std::uint64_t{0} << (from % 64));
+  for (;;) {
+    if (bits != 0) {
+      return static_cast<int>(w * 64) + std::countr_zero(bits);
+    }
+    if (++w == runnable_.size()) return -1;
+    bits = runnable_[w];
+  }
+}
+
 void FiberHost::yield() {
   if (running_ < 0) {
     throw std::logic_error("sgmpi: FiberHost::yield outside a fiber");
   }
+  set_runnable(running_, true);
   switch_back(*fibers_[static_cast<std::size_t>(running_)], /*dying=*/false);
+}
+
+void FiberHost::park(const void* key, const char* site) {
+  if (running_ < 0) {
+    throw std::logic_error("sgmpi: FiberHost::park outside a fiber");
+  }
+  if (!deadlock_.empty()) throw DeadlockError(deadlock_);
+  Fiber& f = *fibers_[static_cast<std::size_t>(running_)];
+  f.wait_site = site;
+  waiters_[key].push_back(running_);
+  switch_back(f, /*dying=*/false);
+  if (!deadlock_.empty()) throw DeadlockError(deadlock_);
+}
+
+void FiberHost::wake(const void* key) {
+  const auto it = waiters_.find(key);
+  if (it == waiters_.end()) return;
+  for (int index : it->second) {
+    fibers_[static_cast<std::size_t>(index)]->wait_site = nullptr;
+    set_runnable(index, true);
+  }
+  it->second.clear();  // keeps the capacity for the next park
+}
+
+void FiberHost::fail_deadlocked() {
+  deadlock_ = "sgmpi: deadlock: no rank can make progress; blocked:";
+  const char* sep = " ";
+  for (const auto& f : fibers_) {
+    if (f->done || f->wait_site == nullptr) continue;
+    deadlock_ += sep;
+    deadlock_ += "rank " + std::to_string(f->index) + " in " + f->wait_site;
+    sep = ", ";
+  }
+  for (auto& [key, parked] : waiters_) {
+    (void)key;
+    for (int index : parked) {
+      fibers_[static_cast<std::size_t>(index)]->wait_site = nullptr;
+      set_runnable(index, true);
+    }
+    parked.clear();
+  }
 }
 
 void FiberHost::run(const std::function<void(int)>& body) {
@@ -182,15 +258,24 @@ void FiberHost::run(const std::function<void(int)>& body) {
   host_tsan_fiber_ = __tsan_get_current_fiber();
 #endif
   const int n = static_cast<int>(fibers_.size());
-  // Round-robin sweeps in ascending rank order until every fiber returns.
-  // Each resumed fiber runs until it finishes or hits a blocking wait site
-  // (which yields); the sweep order is the whole scheduling policy, so the
-  // interleaving — and therefore every max/sum over rank arrival state — is
-  // exactly reproducible.
+  runnable_.assign((fibers_.size() + 63) / 64, 0);
+  for (int i = 0; i < n; ++i) set_runnable(i, true);
+  // Sweeps in ascending rank order until every fiber returns. Each resumed
+  // fiber runs until it finishes, yields (stays runnable) or parks (runnable
+  // again once woken); the sweep order is the whole scheduling policy, so
+  // the interleaving — and therefore every max/sum over rank arrival state
+  // — is exactly reproducible.
+  int from = 0;  // the current sweep resumes fibers at or above this index
   while (finished_ < n) {
-    for (int i = 0; i < n; ++i) {
-      if (!fibers_[static_cast<std::size_t>(i)]->done) switch_to(i);
+    int i = next_runnable(from);
+    if (i < 0) i = next_runnable(0);  // next sweep
+    if (i < 0) {
+      fail_deadlocked();
+      continue;
     }
+    set_runnable(i, false);
+    switch_to(i);
+    from = i + 1;
   }
   g_current_host = nullptr;
   body_ = nullptr;

@@ -176,7 +176,7 @@ bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
   }
   if (newly_interrupting) {
     epoch_.fetch_add(1, std::memory_order_release);
-    cv_.notify_all();
+    engine_notify_all(cv_);
   }
   return newly_interrupting;
 }
@@ -203,7 +203,7 @@ void FaultRuntime::raise_drift(int rank, double vtime) {
     s.first_detect_vtime = vtime;  // the raiser detected it itself
     events_.push_back(s);
     epoch_.fetch_add(1, std::memory_order_release);
-    cv_.notify_all();
+    engine_notify_all(cv_);
   }
   // Waking the context's blocked waits is harmless (poll ignores kDrift);
   // it just keeps the wakeup discipline uniform with planned triggers.
@@ -350,10 +350,11 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
       shrink_entry_max_ = 0.0;
       shrink_finalizing_ = false;
       ++shrink_gen_;
-      cv_.notify_all();
+      engine_notify_all(cv_);
       return result;
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+    engine_wait_step(lock, cv_, backoff_s, poll_interval_s,
+                     "shrink gate");
   }
   // Released by the finaliser. The snapshot cannot have been overwritten: a
   // next round needs every live rank to arrive again, including us.
@@ -400,11 +401,12 @@ std::pair<double, int> FaultRuntime::commit_arrive(int rank,
       commit_arrived_count_ = 0;
       commit_entry_max_ = 0.0;
       ++commit_gen_;
-      cv_.notify_all();
+      engine_notify_all(cv_);
       clk.wait_until(commit_result_);
       return {commit_result_, commit_live_};
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s);
+    engine_wait_step(lock, cv_, backoff_s, poll_interval_s,
+                     "commit gate");
   }
   clk.wait_until(commit_result_);
   return {commit_result_, commit_live_};

@@ -115,6 +115,15 @@ class AbortedError : public std::runtime_error {
   AbortedError() : std::runtime_error("sgmpi: run aborted by another rank") {}
 };
 
+/// Thrown on every blocked rank when the modeled engine finds that no rank
+/// can make progress while some are unfinished (e.g. one rank skipped a
+/// collective its peers wait on). what() names each blocked rank and its
+/// wait site: meeting, bcast slot, recv, shrink gate or commit gate.
+class DeadlockError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// Handle to one in-flight non-blocking operation (MPI_Request analogue).
 ///
 /// Obtained from `Comm::ibcast_bytes` / `isend_bytes` / `irecv_bytes` and

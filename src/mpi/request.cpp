@@ -131,7 +131,7 @@ Request Comm::ibcast_bytes(void* data, std::int64_t bytes, int root) {
       slot.root_posted = true;
     }
   }
-  st.async_cv.notify_all();
+  detail::engine_notify_all(st.async_cv);
   return Request{std::move(op)};
 }
 
@@ -215,7 +215,7 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
       slot.root_posted = true;
     }
   }
-  st.async_cv.notify_all();
+  detail::engine_notify_all(st.async_cv);
   return Request{std::move(op)};
 }
 
@@ -280,7 +280,7 @@ Request Comm::isend_bytes(const void* data, std::int64_t bytes, int dest,
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(msg));
   }
-  box.cv.notify_all();
+  detail::engine_notify_all(box.cv);
   return Request{std::move(op)};
 }
 
@@ -362,7 +362,7 @@ Request Comm::isend_panel(util::ConstMatrixView src, int dest, int tag) {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(msg));
   }
-  box.cv.notify_all();
+  detail::engine_notify_all(box.cv);
   return Request{std::move(op)};
 }
 
@@ -414,7 +414,7 @@ double Comm::wait(Request& request) {
           }
           ctx_->unwind_check(me);
           detail::engine_wait_step(lock, box.cv, backoff_s,
-                                   ctx_->config.poll_interval_s);
+                                   ctx_->config.poll_interval_s, "recv");
         }
       }
       if (msg.bytes != op.bytes) {
@@ -455,7 +455,8 @@ double Comm::wait(Request& request) {
         while (slot.posted < q || (is_root && slot.copied < q - 1)) {
           ctx_->unwind_check(me);
           detail::engine_wait_step(lock, st.async_cv, backoff_s,
-                                   ctx_->config.poll_interval_s);
+                                   ctx_->config.poll_interval_s,
+                                   "bcast slot");
         }
         if (!is_root) {
           if (op.recv_buf != nullptr && slot.src != nullptr) {
@@ -481,7 +482,7 @@ double Comm::wait(Request& request) {
         entry_max = slot.entry_max;
         finish_slot(st, it, q);
       }
-      st.async_cv.notify_all();
+      detail::engine_notify_all(st.async_cv);
       // Panel root with a local destination: store its own copy of the
       // panel now, outside the slot lock (src and dst are this rank's
       // buffers; values are identical whenever it happens before return).

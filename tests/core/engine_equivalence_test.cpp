@@ -143,31 +143,93 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(partition::shape_name(param_info.param));
     });
 
-// A 16-rank cluster run through the full runner pipeline: the modeled
-// engine must reproduce the thread engine's timeline on a multi-node
-// platform (subgroup communicators, inter-node pricing) too.
-TEST(EngineEquivalenceCluster, MultiNodeTimelineBitIdentical) {
-  auto make = [](sgmpi::Engine engine) {
-    const std::int64_t n = 1024;
-    const auto base = device::Platform::homogeneous(4);
-    const trace::HockneyParams net{20.0e-6, 1.0 / 1.0e9};
-    ExperimentConfig config;
-    config.platform = device::Platform::cluster(base, 4, net);
-    config.n = n;
-    const std::vector<double> speeds(16, 1.0);
-    const auto areas = partition::partition_areas_cpm(n * n, speeds);
-    config.preset_spec = partition::nrrp_partition(n, areas);
-    config.engine = engine;
-    return core::run_pmm(config);
-  };
-  const ExperimentResult threaded = make(sgmpi::Engine::kThread);
-  const ExperimentResult modeled = make(sgmpi::Engine::kModeled);
-  EXPECT_EQ(threaded.exec_time_s, modeled.exec_time_s);
-  EXPECT_EQ(threaded.comp_time_s, modeled.comp_time_s);
-  EXPECT_EQ(threaded.comm_time_s, modeled.comm_time_s);
-  ASSERT_EQ(threaded.rank_exec_s.size(), modeled.rank_exec_s.size());
+/// A 16-rank, 4-node cluster run through the full runner pipeline.
+ExperimentResult cluster_run(sgmpi::Engine engine, Scheduler scheduler,
+                             const sgmpi::FaultPlan& faults) {
+  const std::int64_t n = 1024;
+  const auto base = device::Platform::homogeneous(4);
+  const trace::HockneyParams net{20.0e-6, 1.0 / 1.0e9};
+  ExperimentConfig config;
+  config.platform = device::Platform::cluster(base, 4, net);
+  config.n = n;
+  const std::vector<double> speeds(16, 1.0);
+  const auto areas = partition::partition_areas_cpm(n * n, speeds);
+  config.preset_spec = partition::nrrp_partition(n, areas);
+  config.summagen_options.scheduler = scheduler;
+  config.faults = faults;
+  config.engine = engine;
+  return core::run_pmm(config);
+}
+
+/// The modeled engine must reproduce the thread engine's timeline on a
+/// multi-node platform (subgroup communicators, inter-node pricing) too.
+/// Under a crash, the communication a thread-engine rank accrues before it
+/// observes the failure depends on OS scheduling, so the comm totals are
+/// compared on fault-free runs only; makespans, compute and the recovery
+/// record are engine-invariant either way.
+void expect_cluster_engines_identical(Scheduler scheduler,
+                                      const sgmpi::FaultPlan& faults) {
+  const std::string label = core::to_string(scheduler);
+  const ExperimentResult threaded =
+      cluster_run(sgmpi::Engine::kThread, scheduler, faults);
+  const ExperimentResult modeled =
+      cluster_run(sgmpi::Engine::kModeled, scheduler, faults);
+  EXPECT_EQ(threaded.exec_time_s, modeled.exec_time_s) << label;
+  EXPECT_EQ(threaded.comp_time_s, modeled.comp_time_s) << label;
+  if (faults.empty()) {
+    EXPECT_EQ(threaded.comm_time_s, modeled.comm_time_s) << label;
+    EXPECT_EQ(threaded.hidden_comm_time_s, modeled.hidden_comm_time_s)
+        << label;
+  }
+  ASSERT_EQ(threaded.rank_exec_s.size(), modeled.rank_exec_s.size())
+      << label;
   for (std::size_t r = 0; r < threaded.rank_exec_s.size(); ++r) {
-    EXPECT_EQ(threaded.rank_exec_s[r], modeled.rank_exec_s[r]) << "rank " << r;
+    EXPECT_EQ(threaded.rank_exec_s[r], modeled.rank_exec_s[r])
+        << label << " rank " << r;
+  }
+  EXPECT_EQ(threaded.recoveries, modeled.recoveries) << label;
+  EXPECT_EQ(threaded.redistributed_area, modeled.redistributed_area)
+      << label;
+  EXPECT_EQ(threaded.detection_latency_s, modeled.detection_latency_s)
+      << label;
+  EXPECT_EQ(threaded.recovery_vtime_s, modeled.recovery_vtime_s) << label;
+  ASSERT_EQ(threaded.fault_records.size(), modeled.fault_records.size())
+      << label;
+  for (std::size_t i = 0; i < threaded.fault_records.size(); ++i) {
+    const auto& t = threaded.fault_records[i];
+    const auto& m = modeled.fault_records[i];
+    EXPECT_EQ(t.triggered, m.triggered) << label << " event " << i;
+    EXPECT_EQ(t.handled, m.handled) << label << " event " << i;
+    EXPECT_EQ(t.trigger_vtime, m.trigger_vtime) << label << " event " << i;
+    EXPECT_EQ(t.first_detect_vtime, m.first_detect_vtime)
+        << label << " event " << i;
+    EXPECT_EQ(t.handled_vtime, m.handled_vtime) << label << " event " << i;
+  }
+}
+
+TEST(EngineEquivalenceCluster, MultiNodeTimelineBitIdentical) {
+  expect_cluster_engines_identical(Scheduler::kEager, {});
+}
+
+TEST(EngineEquivalenceCluster, MultiNodeTaskGraphTimelineBitIdentical) {
+  expect_cluster_engines_identical(Scheduler::kTaskGraph, {});
+}
+
+// A mid-run crash on the cluster: every survivor unwinds, meets in the
+// shrink gate and re-executes the unfinished cells. Parked fibers must be
+// woken by the fault trigger and the gate, never left behind.
+TEST(EngineEquivalenceCluster, CrashShrinkRecoveryBitIdentical) {
+  for (const Scheduler sched : kSchedulers) {
+    const double t0 =
+        cluster_run(sgmpi::Engine::kModeled, sched, {}).exec_time_s;
+    ASSERT_GT(t0, 0.0);
+    sgmpi::FaultPlan faults;
+    faults.events.push_back(
+        {sgmpi::FaultKind::kCrash, /*rank=*/5, /*at_vtime=*/0.4 * t0});
+    const ExperimentResult modeled =
+        cluster_run(sgmpi::Engine::kModeled, sched, faults);
+    EXPECT_GE(modeled.recoveries, 1) << core::to_string(sched);
+    expect_cluster_engines_identical(sched, faults);
   }
 }
 

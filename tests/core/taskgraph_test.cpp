@@ -8,7 +8,10 @@
 //  * the SUMMA / 2.5D step chains have the expected shape (replication
 //    heads, write-after-read workspace edges, reduction tail);
 //  * both schedulers produce bit-identical numeric results and
-//    identical counters on the chain graphs (SUMMA and 2.5D).
+//    identical counters on the chain graphs (SUMMA and 2.5D);
+//  * each rank's node index walks exactly the nodes — and the eager
+//    schedule executes exactly the sequence — that a scan of the whole
+//    graph selects for that rank, pruned or not.
 #include "src/core/taskgraph/taskgraph.hpp"
 
 #include <gtest/gtest.h>
@@ -21,9 +24,11 @@
 
 #include "src/core/plan.hpp"
 #include "src/core/summa.hpp"
+#include "src/core/taskgraph/executor.hpp"
 #include "src/core/summa25d.hpp"
 #include "src/device/platform.hpp"
 #include "src/partition/areas.hpp"
+#include "src/partition/nrrp.hpp"
 #include "src/partition/shapes.hpp"
 #include "src/util/rng.hpp"
 
@@ -196,6 +201,120 @@ TEST(SummagenGraph, PruneMatchesRowColumnLiveness) {
         FAIL() << "unexpected node kind in a SummaGen graph";
     }
   }
+}
+
+/// Whether `rank` executes `n`: it owns the local node or is one of the
+/// comm node's participants. The whole-graph scan the rank index replaces.
+bool executes(const TaskNode& n, int rank) {
+  return n.is_comm() ? std::find(n.owners.begin(), n.owners.end(), rank) !=
+                           n.owners.end()
+                     : n.owner == rank;
+}
+
+/// One executed step of the eager schedule: (first node id, fused chunk
+/// count; 0 = an unfused run_local/run_comm call).
+using Step = std::pair<int, int>;
+
+/// The eager schedule by full scan over every node of the graph.
+std::vector<Step> full_scan_program(const TaskGraph& g, int rank) {
+  std::vector<Step> steps;
+  const auto& nodes = g.nodes();
+  for (std::size_t id = 0; id < nodes.size(); ++id) {
+    const TaskNode& n = nodes[id];
+    if (n.dropped || !executes(n, rank)) continue;
+    if (n.kind == NodeKind::kGemm) {
+      std::size_t count = 1;
+      while (id + count < nodes.size() &&
+             nodes[id + count].kind == NodeKind::kGemm &&
+             nodes[id + count].payload == n.payload) {
+        ++count;
+      }
+      steps.emplace_back(n.id, static_cast<int>(count));
+      id += count - 1;
+      continue;
+    }
+    steps.emplace_back(n.id, 0);
+  }
+  return steps;
+}
+
+std::vector<Step> indexed_program(const TaskGraph& g, int rank) {
+  std::vector<Step> steps;
+  taskgraph::ExecHooks hooks;
+  hooks.run_local = [&](const TaskNode& n) { steps.emplace_back(n.id, 0); };
+  hooks.run_comm = hooks.run_local;
+  hooks.run_fused = [&](const TaskNode& n, int count) {
+    steps.emplace_back(n.id, count);
+  };
+  taskgraph::run_graph(g, rank, taskgraph::GraphSchedule::kProgram, 0, hooks);
+  return steps;
+}
+
+void expect_index_matches_full_scan(const TaskGraph& g, int nranks,
+                                    const std::string& label) {
+  for (int rank = 0; rank < nranks; ++rank) {
+    std::vector<int> scanned;
+    for (const TaskNode& n : g.nodes()) {
+      if (executes(n, rank)) scanned.push_back(n.id);
+    }
+    const auto indexed = g.rank_nodes(rank);
+    EXPECT_EQ(std::vector<int>(indexed.begin(), indexed.end()), scanned)
+        << label << " rank " << rank;
+    EXPECT_EQ(indexed_program(g, rank), full_scan_program(g, rank))
+        << label << " rank " << rank;
+  }
+  EXPECT_TRUE(g.rank_nodes(nranks).empty()) << label;
+  EXPECT_TRUE(g.rank_nodes(-1).empty()) << label;
+}
+
+TEST(RankIndex, MatchesFullScanOnPaperShapesAndCluster) {
+  struct Case {
+    std::string label;
+    partition::PartitionSpec spec;
+    int nranks;
+  };
+  std::vector<Case> cases;
+  for (const auto shape : all_shapes()) {
+    cases.push_back({partition::shape_name(shape), shape_spec(shape), 3});
+  }
+  // The 16-rank multi-node spec of EngineEquivalenceCluster.
+  const std::int64_t n = 1024;
+  cases.push_back(
+      {"nrrp-16", partition::nrrp_partition(
+                      n, partition::partition_areas_cpm(
+                             n * n, std::vector<double>(16, 1.0))),
+       16});
+  for (const Case& c : cases) {
+    for (const std::int64_t panel_rows : {std::int64_t{0}, std::int64_t{16}}) {
+      SummaGenOptions options;
+      options.bcast_panel_rows = panel_rows;
+      const ExecutionPlan plan = build_plan(c.spec, options);
+      TaskGraph g = taskgraph::build_summagen_graph(c.spec, plan);
+      const std::string label =
+          c.label + " panel_rows=" + std::to_string(panel_rows);
+      expect_index_matches_full_scan(g, c.nranks, label);
+
+      // Pruning only sets drop flags: the index of the pruned copy still
+      // lists every node, and the eager schedule skips the dropped ones.
+      std::set<std::pair<int, int>> done;
+      done.insert({plan.gemm_ops.front().bi, plan.gemm_ops.front().bj});
+      done.insert({plan.gemm_ops.back().bi, plan.gemm_ops.back().bj});
+      taskgraph::prune_completed(g, plan, done);
+      expect_index_matches_full_scan(g, c.nranks, label + " pruned");
+    }
+  }
+}
+
+TEST(RankIndex, RepeatedOwnerIsIndexedOnce) {
+  TaskGraph g;
+  const int c = g.add_comm(NodeKind::kBcast, {0, 2, 2}, 0);
+  const int l = g.add_local(NodeKind::kCopy, 2, 0);
+  const auto two = g.rank_nodes(2);
+  EXPECT_EQ(std::vector<int>(two.begin(), two.end()), (std::vector<int>{c, l}));
+  EXPECT_TRUE(g.rank_nodes(1).empty());
+  EXPECT_THROW(g.add_local(NodeKind::kCopy, -1, 0), std::logic_error);
+  EXPECT_THROW(g.add_comm(NodeKind::kBcast, {0, -1}, 0), std::logic_error);
+  EXPECT_EQ(g.size(), 2u);  // refused nodes are not added
 }
 
 TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {

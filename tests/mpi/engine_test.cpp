@@ -103,6 +103,138 @@ TEST(FiberHost, SurvivesDeepStackUse) {
   }
 }
 
+// --- FiberHost park/wake ---
+
+TEST(FiberHost, ParkedFiberWaitsForItsKey) {
+  // Fiber 0 parks; fiber 1 yields for several sweeps before waking it. A
+  // host that resumed parked fibers every sweep would return from park()
+  // before the wake.
+  FiberHost host(2, 0);
+  int key = 0;
+  bool woken = false;
+  bool saw_wake = false;
+  host.run([&](int i) {
+    FiberHost* self = FiberHost::current();
+    if (i == 0) {
+      self->park(&key, "test");
+      saw_wake = woken;
+      return;
+    }
+    for (int step = 0; step < 5; ++step) self->yield();
+    woken = true;
+    self->wake(&key);
+  });
+  EXPECT_TRUE(saw_wake);
+  for (const auto& e : host.errors()) EXPECT_TRUE(e == nullptr);
+}
+
+TEST(FiberHost, WakeResumesInAscendingOrderWhateverTheWakeOrder) {
+  // Fibers 1..3 park on distinct keys; fiber 0 wakes them in reverse. The
+  // sweep resumes them in ascending index order regardless.
+  FiberHost host(4, 0);
+  int keys[4] = {};
+  std::vector<int> resumed;
+  host.run([&](int i) {
+    FiberHost* self = FiberHost::current();
+    if (i == 0) {
+      self->yield();  // let fibers 1..3 park first
+      self->wake(&keys[3]);
+      self->wake(&keys[1]);
+      self->wake(&keys[2]);
+      return;
+    }
+    self->park(&keys[i], "test");
+    resumed.push_back(i);
+  });
+  EXPECT_EQ(resumed, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(FiberHost, WakeBelowTheRunningFiberWaitsForTheNextSweep) {
+  // Fiber 2 wakes fiber 0 and then yields: fiber 0 (below it) runs in the
+  // next sweep, after fiber 3 has finished this one.
+  FiberHost host(4, 0);
+  int key = 0;
+  std::vector<int> trace;
+  host.run([&](int i) {
+    FiberHost* self = FiberHost::current();
+    if (i == 0) {
+      self->park(&key, "test");
+      trace.push_back(0);
+    } else if (i == 2) {
+      self->wake(&key);
+      self->yield();
+      trace.push_back(2);
+    } else {
+      trace.push_back(i);
+    }
+  });
+  EXPECT_EQ(trace, (std::vector<int>{1, 3, 0, 2}));
+}
+
+TEST(FiberHost, PlainYieldStaysRunnable) {
+  // No fiber ever wakes anything: yielding fibers must still be resumed
+  // (a yield is not a park), so the run completes without a deadlock.
+  FiberHost host(3, 0);
+  std::vector<int> steps(3, 0);
+  host.run([&](int i) {
+    for (int step = 0; step < 4; ++step) {
+      ++steps[static_cast<std::size_t>(i)];
+      FiberHost::current()->yield();
+    }
+  });
+  EXPECT_EQ(steps, (std::vector<int>{4, 4, 4}));
+  for (const auto& e : host.errors()) EXPECT_TRUE(e == nullptr);
+}
+
+TEST(FiberHost, WakingAnUnknownKeyIsANoOp) {
+  FiberHost host(2, 0);
+  int parked_key = 0, other_key = 0;
+  bool woken = false;
+  bool saw_wake = false;
+  host.run([&](int i) {
+    FiberHost* self = FiberHost::current();
+    if (i == 0) {
+      self->park(&parked_key, "test");
+      saw_wake = woken;
+      return;
+    }
+    self->wake(&other_key);  // nobody parked here: must not resume fiber 0
+    self->yield();
+    self->yield();
+    woken = true;
+    self->wake(&parked_key);
+  });
+  EXPECT_TRUE(saw_wake);
+}
+
+TEST(FiberHost, ParkOutsideAFiberThrows) {
+  FiberHost host(1, 0);
+  int key = 0;
+  EXPECT_THROW(host.park(&key, "test"), std::logic_error);
+  host.wake(&key);  // no run, nobody parked: harmless
+}
+
+TEST(FiberHost, NoRunnableFiberRaisesDeadlockInEveryParkedFiber) {
+  FiberHost host(3, 0);
+  int key = 0;
+  host.run([&](int i) {
+    if (i == 1) return;  // the others wait for a wake that never comes
+    FiberHost::current()->park(&key, "meeting");
+  });
+  for (int i : {0, 2}) {
+    const auto& e = host.errors()[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(e != nullptr) << "fiber " << i;
+    try {
+      std::rethrow_exception(e);
+    } catch (const DeadlockError& err) {
+      EXPECT_STREQ(err.what(),
+                   "sgmpi: deadlock: no rank can make progress; blocked: "
+                   "rank 0 in meeting, rank 2 in meeting");
+    }
+  }
+  EXPECT_TRUE(host.errors()[1] == nullptr);
+}
+
 // --- Engine selection + parsing ---
 
 TEST(Engine, ParseAndPrintRoundTrip) {
@@ -177,6 +309,63 @@ TEST(ModeledEngine, AbortUnwindsAllRanks) {
                  world.barrier();
                }),
                std::runtime_error);
+}
+
+TEST(ModeledEngine, AbortWakesAFiberParkedInAMeeting) {
+  // Rank 1 parks in the barrier during the first sweep; rank 0 throws on
+  // the second. Only the abort's notify can resume rank 1 — without it the
+  // host would report a deadlock instead of rank 0's error.
+  Runtime rt(engine_config(2, Engine::kModeled));
+  try {
+    rt.run([](Comm& world) {
+      if (world.rank() == 0) {
+        FiberHost::current()->yield();
+        throw std::runtime_error("rank 0 exploded");
+      }
+      world.barrier();
+    });
+    FAIL() << "run did not throw";
+  } catch (const DeadlockError& e) {
+    FAIL() << "abort did not wake the parked rank: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "rank 0 exploded");
+  }
+}
+
+TEST(ModeledEngine, SkippedBroadcastRaisesDeadlockNamingBlockedRanks) {
+  // Rank 3 skips a broadcast its three peers wait on: instead of spinning
+  // forever the run fails with a typed error naming each blocked rank and
+  // its wait site.
+  Runtime rt(engine_config(4, Engine::kModeled));
+  try {
+    rt.run([](Comm& world) {
+      double v = world.rank() == 0 ? 1.0 : 0.0;
+      if (world.rank() != 3) world.bcast(&v, 1, 0);
+    });
+    FAIL() << "run did not throw";
+  } catch (const DeadlockError& e) {
+    EXPECT_STREQ(e.what(),
+                 "sgmpi: deadlock: no rank can make progress; blocked: "
+                 "rank 0 in bcast slot, rank 1 in bcast slot, "
+                 "rank 2 in bcast slot");
+  }
+}
+
+TEST(ModeledEngine, UnmatchedRecvRaisesDeadlock) {
+  Runtime rt(engine_config(2, Engine::kModeled));
+  try {
+    rt.run([](Comm& world) {
+      if (world.rank() == 1) {
+        double v = 0.0;
+        world.recv_bytes(&v, sizeof(double), 0, 9);
+      }
+    });
+    FAIL() << "run did not throw";
+  } catch (const DeadlockError& e) {
+    EXPECT_STREQ(e.what(),
+                 "sgmpi: deadlock: no rank can make progress; blocked: "
+                 "rank 1 in recv");
+  }
 }
 
 TEST(ModeledEngine, PoisonedAfterAbort) {
