@@ -2,10 +2,12 @@
 //
 // For each N the bench times the packed classical DGEMM and the fast-MM
 // kinds (strassen / s223 / auto, src/blas/fastmm.hpp) on the same random
-// operands, reporting effective GFLOP/s (always normalised to classical
-// 2N^3 flops so the numbers compare directly) and the norm-wise error of
-// each fast result against the classical one as a fraction of its budget
-// (err_over_bound must stay <= 1).
+// operands — in interleaved rounds, one call of every kind per round, each
+// kind's median over --repeats rounds — reporting effective GFLOP/s
+// (always normalised to classical 2N^3 flops so the numbers compare
+// directly) and the norm-wise error of each fast result against the
+// classical one as a fraction of its budget (err_over_bound must stay
+// <= 1).
 //
 // Unlike the virtual-time ablations this bench measures real wall time, so
 // absolute seconds vary per machine; the committed baseline
@@ -71,22 +73,15 @@ double median_of(std::vector<double> v) {
   return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
-// Median wall seconds of `repeats` multiplications (one untimed warm-up
-// primes the pool size classes and the pack paths).
+// Wall seconds of one multiplication into `c`.
 double time_dgemm(std::int64_t n, const Matrix& a, const Matrix& b, Matrix* c,
-                  const summagen::blas::GemmOptions& opts, int repeats) {
+                  const summagen::blas::GemmOptions& opts) {
+  const auto t0 = std::chrono::steady_clock::now();
   summagen::blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
                         c->data(), n, opts);
-  std::vector<double> secs;
-  for (int r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    summagen::blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
-                          c->data(), n, opts);
-    const std::chrono::duration<double> dt =
-        std::chrono::steady_clock::now() - t0;
-    secs.push_back(dt.count());
-  }
-  return median_of(std::move(secs));
+  const std::chrono::duration<double> dt =
+      std::chrono::steady_clock::now() - t0;
+  return dt.count();
 }
 
 const char* bench_tag(summagen::blas::FastMmKind kind) {
@@ -135,38 +130,61 @@ int main(int argc, char** argv) {
     const double norm_product = frobenius(a) * frobenius(b);
     const double flops = static_cast<double>(blas::gemm_flops(n, n, n));
 
-    blas::GemmOptions classical;
-    const double classical_s = time_dgemm(n, a, b, &c, classical, repeats);
-    const double classical_gflops = flops / classical_s / 1e9;
-    const Matrix reference = c;  // classical product, beta = 0
-    t.add_row({util::Table::num(n), "classical",
-               util::Table::num(classical_s), util::Table::num(classical_gflops),
-               "1.0000", "-"});
-    json_rows.push_back({std::string(bench_tag(classical.fastmm)) + "/" +
-                             std::to_string(n),
-                         classical_s,
-                         {{"gflops", classical_gflops},
-                          {"speedup_vs_classical", 1.0}}});
-
+    // Classical first, then every fast kind. The untimed warm-up call of
+    // each primes the pool size classes and pack paths, and its product
+    // gives the error check (classical = the reference).
+    std::vector<blas::GemmOptions> variants(1);
     for (const blas::FastMmKind kind : kinds) {
       blas::GemmOptions fast;
       fast.fastmm = kind;
       fast.fastmm_crossover = crossover;
       fast.fastmm_max_depth = max_depth;
-      const double fast_s = time_dgemm(n, a, b, &c, fast, repeats);
-      const double fast_gflops = flops / fast_s / 1e9;
-      const double speedup = classical_s / fast_s;
-
-      const int depth = blas::fastmm_max_reachable_depth(n, n, n, fast);
-      const double bound = blas::fastmm_error_budget(n, depth) *
+      variants.push_back(fast);
+    }
+    time_dgemm(n, a, b, &c, variants[0]);
+    const Matrix reference = c;  // classical product, beta = 0
+    std::vector<double> err_over_bound(variants.size(), 0.0);
+    std::vector<int> depth(variants.size(), 0);
+    for (std::size_t v = 1; v < variants.size(); ++v) {
+      time_dgemm(n, a, b, &c, variants[v]);
+      depth[v] = blas::fastmm_max_reachable_depth(n, n, n, variants[v]);
+      const double bound = blas::fastmm_error_budget(n, depth[v]) *
                            std::numeric_limits<double>::epsilon() *
                            norm_product;
-      const double err_over_bound =
-          depth == 0 ? 0.0 : frobenius_diff(c, reference) / bound;
-      if (err_over_bound > 1.0) bound_ok = false;
+      err_over_bound[v] =
+          depth[v] == 0 ? 0.0 : frobenius_diff(c, reference) / bound;
+    }
+
+    // Timed in interleaved rounds — each round times every variant once —
+    // so background load drifting during the run hits all of them alike
+    // instead of whichever happened to be timed last. Median per variant.
+    std::vector<std::vector<double>> secs(variants.size());
+    for (int r = 0; r < repeats; ++r) {
+      for (std::size_t v = 0; v < variants.size(); ++v) {
+        secs[v].push_back(time_dgemm(n, a, b, &c, variants[v]));
+      }
+    }
+
+    const double classical_s = median_of(secs[0]);
+    const double classical_gflops = flops / classical_s / 1e9;
+    t.add_row({util::Table::num(n), "classical",
+               util::Table::num(classical_s), util::Table::num(classical_gflops),
+               "1.0000", "-"});
+    json_rows.push_back({std::string(bench_tag(variants[0].fastmm)) + "/" +
+                             std::to_string(n),
+                         classical_s,
+                         {{"gflops", classical_gflops},
+                          {"speedup_vs_classical", 1.0}}});
+
+    for (std::size_t v = 1; v < variants.size(); ++v) {
+      const blas::FastMmKind kind = variants[v].fastmm;
+      const double fast_s = median_of(secs[v]);
+      const double fast_gflops = flops / fast_s / 1e9;
+      const double speedup = classical_s / fast_s;
+      if (err_over_bound[v] > 1.0) bound_ok = false;
       // depth 0 means auto declined to split: the code path IS classical,
       // so any measured difference is timer noise, not a loss.
-      if (kind == blas::FastMmKind::kAuto && depth > 0 &&
+      if (kind == blas::FastMmKind::kAuto && depth[v] > 0 &&
           speedup < auto_tolerance - 1e-9) {
         auto_ok = false;
       }
@@ -178,14 +196,15 @@ int main(int argc, char** argv) {
       t.add_row({util::Table::num(n), blas::fastmm_kind_name(kind),
                  util::Table::num(fast_s), util::Table::num(fast_gflops),
                  util::Table::num(speedup),
-                 depth == 0 ? "=classical" : util::Table::num(err_over_bound)});
+                 depth[v] == 0 ? "=classical"
+                               : util::Table::num(err_over_bound[v])});
       json_rows.push_back({std::string(bench_tag(kind)) + "/" +
                                std::to_string(n),
                            fast_s,
                            {{"gflops", fast_gflops},
                             {"speedup_vs_classical", speedup},
-                            {"err_over_bound", err_over_bound},
-                            {"depth", static_cast<double>(depth)}}});
+                            {"err_over_bound", err_over_bound[v]},
+                            {"depth", static_cast<double>(depth[v])}}});
     }
   }
 

@@ -11,6 +11,34 @@
 namespace summagen::core::taskgraph {
 namespace {
 
+const char* kind_name(NodeKind kind) {
+  switch (kind) {
+    case NodeKind::kBcast:
+      return "kBcast";
+    case NodeKind::kCopy:
+      return "kCopy";
+    case NodeKind::kPack:
+      return "kPack";
+    case NodeKind::kGemm:
+      return "kGemm";
+    case NodeKind::kReduce:
+      return "kReduce";
+  }
+  return "?";
+}
+
+/// Notes node `n` as the one this rank is running, so a modeled-engine
+/// DeadlockError names it beside the rank's wait site.
+void note(const TaskNode& n) { sgmpi::note_task(n.id, kind_name(n.kind)); }
+
+/// Clears the note when the rank leaves the graph, normally or not.
+struct NoteScope {
+  NoteScope() = default;
+  NoteScope(const NoteScope&) = delete;
+  NoteScope& operator=(const NoteScope&) = delete;
+  ~NoteScope() { sgmpi::note_task(-1, nullptr); }
+};
+
 /// Post/complete machinery of the kDataflow schedule: this rank's comm
 /// nodes, posted in ascending id up to `window` ahead and completed in the
 /// same order.
@@ -51,6 +79,7 @@ class CommPipeline {
   void post_one() {
     const TaskNode& n =
         nodes_[static_cast<std::size_t>(comms_[next_post_++])];
+    note(n);
     pending_.push_back(hooks_.post_comm ? hooks_.post_comm(n)
                                         : sgmpi::Request{});
   }
@@ -60,6 +89,7 @@ class CommPipeline {
         nodes_[static_cast<std::size_t>(comms_[next_complete_++])];
     sgmpi::Request r = std::move(pending_.front());
     pending_.pop_front();
+    note(n);
     if (hooks_.complete_comm) {
       hooks_.complete_comm(n, r);
     } else {
@@ -82,6 +112,7 @@ void run_program(const TaskGraph& graph, int rank, const ExecHooks& hooks) {
   for (std::size_t k = 0; k < mine.size(); ++k) {
     const TaskNode& n = nodes[static_cast<std::size_t>(mine[k])];
     if (n.dropped) continue;
+    note(n);
     if (n.is_comm()) {
       hooks.run_comm(n);
       continue;
@@ -131,7 +162,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     if (n.dropped || n.is_comm()) continue;
     ++nlocal;
     int cnt = 0;
-    for (int p : n.preds) {
+    for (int p : graph.preds(n.id)) {
       if (!nodes[static_cast<std::size_t>(p)].dropped && slot(p) >= 0) ++cnt;
     }
     npred[k] = cnt;
@@ -140,7 +171,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
 
   auto finish = [&](int id) {
     done[static_cast<std::size_t>(slot(id))] = 1;
-    for (int s : nodes[static_cast<std::size_t>(id)].succs) {
+    for (int s : graph.succs(id)) {
       const TaskNode& sn = nodes[static_cast<std::size_t>(s)];
       if (sn.dropped || sn.is_comm() || sn.owner != rank) continue;
       if (--npred[static_cast<std::size_t>(slot(s))] == 0) ready.insert(s);
@@ -153,6 +184,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     if (!ready.empty()) {
       const int id = *ready.begin();
       ready.erase(ready.begin());
+      note(nodes[static_cast<std::size_t>(id)]);
       hooks.run_local(nodes[static_cast<std::size_t>(id)]);
       ++executed;
       finish(id);
@@ -168,7 +200,7 @@ void run_dataflow(const TaskGraph& graph, int rank, int window,
     // workspace a pending GEMM still reads.
     const TaskNode& head =
         nodes[static_cast<std::size_t>(pipeline.next_id())];
-    for (int p : head.preds) {
+    for (int p : graph.preds(head.id)) {
       const TaskNode& pn = nodes[static_cast<std::size_t>(p)];
       if (!pn.dropped && !pn.is_comm() && pn.owner == rank &&
           !done[static_cast<std::size_t>(slot(p))]) {
@@ -192,6 +224,7 @@ void run_graph(const TaskGraph& graph, int rank, GraphSchedule schedule,
     throw std::logic_error(
         "taskgraph: post_comm and complete_comm must be provided together");
   }
+  const NoteScope note_scope;
   switch (schedule) {
     case GraphSchedule::kProgram:
       run_program(graph, rank, hooks);

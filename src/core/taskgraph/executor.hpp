@@ -21,8 +21,8 @@
 // reproducible.
 //
 // Rank projection: the executor runs one rank. Local nodes execute iff
-// node.owner == rank; comm nodes iff rank is in node.owners — exactly the
-// graph's rank index (TaskGraph::rank_nodes), which is all the executor
+// node.owner == rank; comm nodes iff rank is in graph.owners(id) — exactly
+// the graph's rank index (TaskGraph::rank_nodes), which is all the executor
 // walks, so a rank's cost is O(its nodes) however many ranks share the
 // graph. Dependencies on nodes this rank cannot observe (another rank's
 // local work) are treated as satisfied — cross-rank ordering is what the
@@ -83,6 +83,9 @@ struct ExecHooks {
 /// Executes `graph` for `rank` under `schedule`. `window` bounds the
 /// posted-but-uncompleted comm nodes per rank (<= 0 = unbounded; ignored
 /// by kProgram, which is fully blocking). Dropped nodes are skipped.
+/// kDataflow reads the edges, so it needs a sealed graph. Each node is
+/// noted (sgmpi::note_task) before its hook runs, so a modeled-engine
+/// deadlock names the node every blocked rank was in.
 /// Throws std::logic_error on an unexecutable graph (cyclic wait) and
 /// propagates whatever the hooks throw (fault injection unwinds through
 /// here with requests in flight; sgmpi tolerates that during unwind).

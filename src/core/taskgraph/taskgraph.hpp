@@ -38,9 +38,9 @@
 namespace summagen::core::taskgraph {
 
 /// What a node does when executed. Comm kinds (kBcast, kReduce) carry the
-/// participating ranks in `owners`; local kinds carry the executing rank
-/// in `owner`.
-enum class NodeKind {
+/// participating ranks in TaskGraph::owners(id); local kinds carry the
+/// executing rank in `owner`.
+enum class NodeKind : std::uint8_t {
   kBcast,   ///< panel/block broadcast over a subgroup communicator
   kCopy,    ///< single-owner local copy into WA/WB (zero virtual cost)
   kPack,    ///< local panel pack (a degenerate one-rank broadcast axis)
@@ -48,40 +48,60 @@ enum class NodeKind {
   kReduce,  ///< 2.5D partial-C sum-reduction over the depth communicator
 };
 
-/// One node of the graph. `payload`/`aux` are algorithm-defined cookies
-/// (SummaGen: plan op index + chunk index; SUMMA/2.5D: step index + axis).
+/// One node of the graph: a plain value. Its participants and edges live
+/// in the graph's flat arrays (TaskGraph::owners/preds/succs).
+/// `payload`/`aux` are algorithm-defined cookies (SummaGen: plan op index
+/// + chunk index; SUMMA/2.5D: step index + axis).
 struct TaskNode {
-  NodeKind kind = NodeKind::kCopy;
   int id = -1;
-  int owner = -1;           ///< executing world rank (local nodes; -1 for comm)
-  std::vector<int> owners;  ///< participating world ranks (comm nodes only)
+  int owner = -1;  ///< executing world rank (local nodes; -1 for comm)
   int payload = -1;
   int aux = 0;
-  bool dropped = false;     ///< pruned by recovery; executors skip it
-  std::vector<int> preds;
-  std::vector<int> succs;
+  NodeKind kind = NodeKind::kCopy;
+  bool comm = false;     ///< collective over TaskGraph::owners(id)
+  bool dropped = false;  ///< pruned by recovery; executors skip it
 
-  bool is_comm() const { return !owners.empty(); }
+  bool is_comm() const { return comm; }
 };
 
 /// A DAG of TaskNodes. Ids are dense and assigned in construction order;
 /// construction order therefore IS the program (eager) order.
+///
+/// Storage is flat. Comm participants sit in one CSR array (offsets per
+/// node). Edges are appended to one flat list while the graph is built;
+/// seal() freezes them once into CSR pred and succ arrays: each node's
+/// preds in ascending id, each node's succs in insertion order. A graph
+/// is built (add_*), sealed, then read (preds/succs/validate/executors);
+/// only the drop flags change after sealing.
 class TaskGraph {
  public:
   /// Adds a local node executed by world rank `owner` (>= 0).
   int add_local(NodeKind kind, int owner, int payload, int aux = 0);
   /// Adds a collective node over `owners` (ascending world ranks, >= 0).
-  int add_comm(NodeKind kind, std::vector<int> owners, int payload,
+  int add_comm(NodeKind kind, const std::vector<int>& owners, int payload,
                int aux = 0);
   /// Adds the edge pred -> succ. Both must already exist; duplicates and
   /// self-edges throw (they would corrupt the executors' pred counts).
+  /// O(1) while each node's successors arrive in ascending id (every
+  /// builder here); otherwise the duplicate check scans the edges added
+  /// since `pred`'s first successor.
   void add_dep(int pred, int succ);
+  /// Freezes the edge list into the CSR pred/succ arrays in O(V+E). Adding
+  /// nodes or edges afterwards throws; sealing twice is a no-op.
+  void seal();
 
   const std::vector<TaskNode>& nodes() const { return nodes_; }
   const TaskNode& node(int id) const;
   std::size_t size() const { return nodes_.size(); }
   /// Reserves storage so that adding up to `nodes` nodes never reallocates.
-  void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+  void reserve(std::size_t nodes);
+
+  /// Participating world ranks of comm node `id` (empty for local nodes).
+  std::span<const int> owners(int id) const;
+  /// Predecessors of `id` in ascending id (sealed graphs only).
+  std::span<const int> preds(int id) const;
+  /// Successors of `id` in insertion order (sealed graphs only).
+  std::span<const int> succs(int id) const;
 
   /// Marks node `id` pruned (or live again); executors skip dropped nodes.
   void set_dropped(int id, bool dropped);
@@ -91,15 +111,37 @@ class TaskGraph {
   /// that owns no node.
   std::span<const int> rank_nodes(int rank) const;
 
-  /// Structural invariants: edge symmetry, id sanity, acyclicity (Kahn
+  /// Structural invariants of a sealed graph in O(V+E): edge symmetry
+  /// (pred and succ arrays hold the same edges) and acyclicity (Kahn
   /// topological sort must consume every node). Throws std::logic_error.
   void validate() const;
 
  private:
+  int add_node(NodeKind kind, int owner, std::span<const int> owners,
+               int payload, int aux);
   void index(int rank, int id);
+  void check_id(int id) const;
+  void check_sealed() const;
 
   std::vector<TaskNode> nodes_;
+  // owners(id) = owner_ids_[owner_off_[id], owner_off_[id + 1]).
+  std::vector<int> owner_off_{0};
+  std::vector<int> owner_ids_;
   std::vector<std::vector<int>> rank_nodes_;  ///< see rank_nodes()
+
+  // Building state (released by seal()): the flat edge list, and per node
+  // its largest successor so far and the index of its first out-edge.
+  struct Edge {
+    int pred, succ;
+  };
+  std::vector<Edge> edges_;
+  std::vector<int> max_succ_;
+  std::vector<int> first_out_;
+
+  // Sealed state: CSR edge arrays indexed by node id.
+  bool sealed_ = false;
+  std::vector<int> pred_off_, pred_ids_;
+  std::vector<int> succ_off_, succ_ids_;
 };
 
 /// Builds the SummaGen graph from the per-rank identical plan: one kCopy

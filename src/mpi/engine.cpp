@@ -64,6 +64,8 @@ struct FiberHost::Fiber {
   bool started = false;
   bool done = false;
   const char* wait_site = nullptr;  ///< non-null while parked
+  int task_id = -1;                 ///< noted task (note_task), -1 = none
+  const char* task_kind = nullptr;
   void* fake_stack = nullptr;  ///< ASan fake-stack save slot
   void* tsan_fiber = nullptr;
 
@@ -229,6 +231,13 @@ void FiberHost::wake(const void* key) {
   it->second.clear();  // keeps the capacity for the next park
 }
 
+void FiberHost::note_task(int id, const char* kind) noexcept {
+  if (running_ < 0) return;
+  Fiber& f = *fibers_[static_cast<std::size_t>(running_)];
+  f.task_id = id;
+  f.task_kind = id < 0 ? nullptr : kind;
+}
+
 void FiberHost::fail_deadlocked() {
   deadlock_ = "sgmpi: deadlock: no rank can make progress; blocked:";
   const char* sep = " ";
@@ -236,6 +245,10 @@ void FiberHost::fail_deadlocked() {
     if (f->done || f->wait_site == nullptr) continue;
     deadlock_ += sep;
     deadlock_ += "rank " + std::to_string(f->index) + " in " + f->wait_site;
+    if (f->task_kind != nullptr) {
+      deadlock_ += " (node " + std::to_string(f->task_id) + " " +
+                   f->task_kind + ")";
+    }
     sep = ", ";
   }
   for (auto& [key, parked] : waiters_) {
@@ -282,3 +295,13 @@ void FiberHost::run(const std::function<void(int)>& body) {
 }
 
 }  // namespace summagen::sgmpi::detail
+
+namespace summagen::sgmpi {
+
+void note_task(int id, const char* kind) noexcept {
+  if (detail::FiberHost* host = detail::FiberHost::current()) {
+    host->note_task(id, kind);
+  }
+}
+
+}  // namespace summagen::sgmpi

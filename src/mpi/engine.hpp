@@ -27,8 +27,9 @@
 // AND virtual times are bit-identical to the thread engine.
 //
 // Deadlock: when no fiber is runnable but some are unfinished, every parked
-// fiber is resumed with a DeadlockError naming each blocked rank and its
-// wait site, and unwinds like any other rank error.
+// fiber is resumed with a DeadlockError naming each blocked rank, its wait
+// site and the task it noted (sgmpi::note_task), and unwinds like any
+// other rank error.
 //
 // Stacks are mmap'd lazily-committed with a PROT_NONE guard page below, so
 // p=4096 fibers reserve address space but only commit the pages each rank
@@ -95,6 +96,10 @@ class FiberHost {
   /// Makes every fiber parked on `key` runnable. No-op for a key nobody is
   /// parked on.
   void wake(const void* key);
+
+  /// Records the task the running fiber is in for deadlock reports (see
+  /// sgmpi::note_task). No-op outside a fiber.
+  void note_task(int id, const char* kind) noexcept;
 
  private:
   struct Fiber;

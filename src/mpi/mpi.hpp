@@ -118,11 +118,19 @@ class AbortedError : public std::runtime_error {
 /// Thrown on every blocked rank when the modeled engine finds that no rank
 /// can make progress while some are unfinished (e.g. one rank skipped a
 /// collective its peers wait on). what() names each blocked rank and its
-/// wait site: meeting, bcast slot, recv, shrink gate or commit gate.
+/// wait site: meeting, bcast slot, recv, shrink gate or commit gate —
+/// followed by the task it was running when one was noted (note_task),
+/// e.g. "rank 3 in bcast slot (node 1042 kBcast)".
 class DeadlockError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Notes the task-graph node the calling rank is running, for
+/// DeadlockError messages: node `id` of kind `kind` (a string that must
+/// outlive the run). A negative `id` clears the note. Only the modeled
+/// engine diagnoses deadlocks, so on the thread engine this is a no-op.
+void note_task(int id, const char* kind) noexcept;
 
 /// Handle to one in-flight non-blocking operation (MPI_Request analogue).
 ///

@@ -11,7 +11,10 @@
 //    identical counters on the chain graphs (SUMMA and 2.5D);
 //  * each rank's node index walks exactly the nodes — and the eager
 //    schedule executes exactly the sequence — that a scan of the whole
-//    graph selects for that rank, pruned or not.
+//    graph selects for that rank, pruned or not;
+//  * every node's preds equal a brute-force oracle over the plan's
+//    written and read rectangles, and a modeled-engine deadlock names the
+//    node each blocked rank was running.
 #include "src/core/taskgraph/taskgraph.hpp"
 
 #include <gtest/gtest.h>
@@ -19,6 +22,8 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,10 +56,14 @@ std::vector<partition::Shape> all_shapes() {
           partition::Shape::kOneDimensional};
 }
 
+std::vector<int> vec(std::span<const int> ids) {
+  return {ids.begin(), ids.end()};
+}
+
 /// Largest comm-node id among a node's predecessors, -1 when none.
 int max_comm_pred(const TaskGraph& g, const TaskNode& n) {
   int dep = -1;
-  for (int p : n.preds) {
+  for (int p : g.preds(n.id)) {
     if (g.node(p).is_comm()) dep = std::max(dep, p);
   }
   return dep;
@@ -84,7 +93,7 @@ TEST(SummagenGraph, NodeInventoryMatchesPlan) {
           g.node(static_cast<int>(plan.copy_ops.size() + i));
       EXPECT_EQ(n.kind, NodeKind::kBcast);
       EXPECT_EQ(n.payload, static_cast<int>(i));
-      EXPECT_EQ(n.owners, plan.comm_ops[i].owners);
+      EXPECT_EQ(vec(g.owners(n.id)), plan.comm_ops[i].owners);
     }
   }
 }
@@ -99,8 +108,9 @@ TEST(SummagenGraph, EveryBroadcastFeedsAGemmChunk) {
       const TaskGraph g = taskgraph::build_summagen_graph(spec, plan);
       for (const TaskNode& n : g.nodes()) {
         if (n.kind != NodeKind::kBcast) continue;
+        const auto succs = g.succs(n.id);
         const bool feeds_gemm = std::any_of(
-            n.succs.begin(), n.succs.end(),
+            succs.begin(), succs.end(),
             [&](int s) { return g.node(s).kind == NodeKind::kGemm; });
         EXPECT_TRUE(feeds_gemm)
             << partition::shape_name(shape) << " bcast node " << n.id
@@ -136,7 +146,7 @@ TEST(SummagenGraph, ChunkDepsReproducePlanPrefixes) {
       }
       if (n.aux > 0) {
         const TaskNode* prev = nullptr;
-        for (int p : n.preds) {
+        for (int p : g.preds(n.id)) {
           const TaskNode& pn = g.node(p);
           if (pn.kind == NodeKind::kGemm && pn.payload == n.payload) {
             prev = &pn;
@@ -145,6 +155,87 @@ TEST(SummagenGraph, ChunkDepsReproducePlanPrefixes) {
         ASSERT_NE(prev, nullptr) << "chunk chain broken";
         EXPECT_EQ(prev->aux, n.aux - 1);
         EXPECT_GT(horizon, max_comm_pred(g, *prev));
+      }
+    }
+  }
+}
+
+/// Rows [r0, r1) x columns [c0, c1) of a global matrix.
+struct Rect {
+  std::int64_t r0, r1, c0, c1;
+};
+
+bool intersect(const Rect& x, const Rect& y) {
+  return x.r0 < y.r1 && y.r0 < x.r1 && x.c0 < y.c1 && y.c0 < x.c1;
+}
+
+/// The SummaGen edge set by brute force in global index space, independent
+/// of the builder's per-cell lookups: a chunk of GemmOp (bi, bj) reads A
+/// rows of block bi x [k0, k1) and B rows [k0, k1) x columns of block bj,
+/// so its preds are every copy or panel whose written A (WA) or B (WB)
+/// rectangle meets what it reads, plus the previous chunk of its op.
+/// Copies and panels have no preds. Indexed by node id; ascending.
+std::vector<std::vector<int>> oracle_preds(const partition::PartitionSpec& spec,
+                                           const ExecutionPlan& plan) {
+  const auto roff = spec.row_offsets();
+  const auto coff = spec.col_offsets();
+  struct Write {
+    bool is_a;
+    Rect rect;
+  };
+  std::vector<Write> writes;  // node-id order: copies, then panels
+  for (const CopyOp& op : plan.copy_ops) {
+    writes.push_back({op.is_a,
+                      {roff[op.bi], roff[op.bi + 1], coff[op.bj],
+                       coff[op.bj + 1]}});
+  }
+  for (const CommOp& op : plan.comm_ops) {
+    const std::int64_t r0 = roff[op.bi] + op.p0;
+    writes.push_back(
+        {op.is_a, {r0, r0 + op.rows, coff[op.bj], coff[op.bj + 1]}});
+  }
+  std::vector<std::vector<int>> preds(writes.size());
+  for (const GemmOp& gop : plan.gemm_ops) {
+    for (std::size_t ci = 0; ci < gop.chunks.size(); ++ci) {
+      const GemmChunk& ch = gop.chunks[ci];
+      const Rect a_read{roff[gop.bi], roff[gop.bi + 1], ch.k0, ch.k1};
+      const Rect b_read{ch.k0, ch.k1, coff[gop.bj], coff[gop.bj + 1]};
+      std::vector<int> p;
+      for (std::size_t w = 0; w < writes.size(); ++w) {
+        if (intersect(writes[w].rect, writes[w].is_a ? a_read : b_read)) {
+          p.push_back(static_cast<int>(w));
+        }
+      }
+      if (ci > 0) p.push_back(static_cast<int>(preds.size()) - 1);
+      std::sort(p.begin(), p.end());
+      preds.push_back(std::move(p));
+    }
+  }
+  return preds;
+}
+
+TEST(SummagenGraph, EdgeSetMatchesBruteForceOracle) {
+  std::vector<std::pair<std::string, partition::PartitionSpec>> specs;
+  for (const auto shape : all_shapes()) {
+    specs.emplace_back(partition::shape_name(shape), shape_spec(shape));
+  }
+  // The 16-rank multi-node spec of EngineEquivalenceCluster.
+  const std::int64_t n = 1024;
+  specs.emplace_back("nrrp-16",
+                     partition::nrrp_partition(
+                         n, partition::partition_areas_cpm(
+                                n * n, std::vector<double>(16, 1.0))));
+  for (const auto& [label, spec] : specs) {
+    for (const std::int64_t panel_rows : {std::int64_t{0}, std::int64_t{32}}) {
+      SummaGenOptions options;
+      options.bcast_panel_rows = panel_rows;
+      const ExecutionPlan plan = build_plan(spec, options);
+      const TaskGraph g = taskgraph::build_summagen_graph(spec, plan);
+      const auto oracle = oracle_preds(spec, plan);
+      ASSERT_EQ(g.size(), oracle.size()) << label;
+      for (std::size_t id = 0; id < oracle.size(); ++id) {
+        ASSERT_EQ(vec(g.preds(static_cast<int>(id))), oracle[id])
+            << label << " panel_rows=" << panel_rows << " node " << id;
       }
     }
   }
@@ -205,10 +296,11 @@ TEST(SummagenGraph, PruneMatchesRowColumnLiveness) {
 
 /// Whether `rank` executes `n`: it owns the local node or is one of the
 /// comm node's participants. The whole-graph scan the rank index replaces.
-bool executes(const TaskNode& n, int rank) {
-  return n.is_comm() ? std::find(n.owners.begin(), n.owners.end(), rank) !=
-                           n.owners.end()
-                     : n.owner == rank;
+bool executes(const TaskGraph& g, const TaskNode& n, int rank) {
+  const auto owners = g.owners(n.id);
+  return n.is_comm()
+             ? std::find(owners.begin(), owners.end(), rank) != owners.end()
+             : n.owner == rank;
 }
 
 /// One executed step of the eager schedule: (first node id, fused chunk
@@ -221,7 +313,7 @@ std::vector<Step> full_scan_program(const TaskGraph& g, int rank) {
   const auto& nodes = g.nodes();
   for (std::size_t id = 0; id < nodes.size(); ++id) {
     const TaskNode& n = nodes[id];
-    if (n.dropped || !executes(n, rank)) continue;
+    if (n.dropped || !executes(g, n, rank)) continue;
     if (n.kind == NodeKind::kGemm) {
       std::size_t count = 1;
       while (id + count < nodes.size() &&
@@ -255,7 +347,7 @@ void expect_index_matches_full_scan(const TaskGraph& g, int nranks,
   for (int rank = 0; rank < nranks; ++rank) {
     std::vector<int> scanned;
     for (const TaskNode& n : g.nodes()) {
-      if (executes(n, rank)) scanned.push_back(n.id);
+      if (executes(g, n, rank)) scanned.push_back(n.id);
     }
     const auto indexed = g.rank_nodes(rank);
     EXPECT_EQ(std::vector<int>(indexed.begin(), indexed.end()), scanned)
@@ -321,14 +413,77 @@ TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
   TaskGraph g;
   const int a = g.add_local(NodeKind::kCopy, 0, 0);
   const int b = g.add_local(NodeKind::kGemm, 0, 1);
+  const int c = g.add_local(NodeKind::kGemm, 0, 2);
   g.add_dep(a, b);
   EXPECT_THROW(g.add_dep(a, b), std::logic_error);   // duplicate
   EXPECT_THROW(g.add_dep(a, a), std::logic_error);   // self edge
   EXPECT_THROW(g.add_dep(a, 99), std::logic_error);  // unknown node
+  // A duplicate behind a non-ascending insertion: a -> c, then b < c.
+  g.add_dep(a, c);
+  g.add_dep(b, c);
+  TaskGraph out_of_order;
+  const int x = out_of_order.add_local(NodeKind::kCopy, 0, 0);
+  const int y = out_of_order.add_local(NodeKind::kGemm, 0, 1);
+  const int z = out_of_order.add_local(NodeKind::kGemm, 0, 2);
+  out_of_order.add_dep(x, z);
+  out_of_order.add_dep(x, y);
+  EXPECT_THROW(out_of_order.add_dep(x, z), std::logic_error);
+  EXPECT_THROW(out_of_order.add_dep(x, y), std::logic_error);
+  EXPECT_THROW(g.validate(), std::logic_error);  // not sealed yet
+  g.seal();
   EXPECT_NO_THROW(g.validate());
-  g.add_dep(b, a);  // structurally fine, semantically a cycle
-  EXPECT_THROW(g.validate(), std::logic_error);
+  // Preds ascending, succs in insertion order.
+  EXPECT_EQ(vec(g.preds(c)), (std::vector<int>{a, b}));
+  out_of_order.seal();
+  EXPECT_EQ(vec(out_of_order.succs(x)), (std::vector<int>{z, y}));
+  EXPECT_THROW(g.add_dep(b, a), std::logic_error);  // sealed
+  EXPECT_THROW(g.add_local(NodeKind::kCopy, 0, 0), std::logic_error);
+
+  TaskGraph cyclic;
+  const int p = cyclic.add_local(NodeKind::kCopy, 0, 0);
+  const int q = cyclic.add_local(NodeKind::kGemm, 0, 1);
+  cyclic.add_dep(p, q);
+  cyclic.add_dep(q, p);  // structurally fine, semantically a cycle
+  cyclic.seal();
+  EXPECT_THROW(cyclic.validate(), std::logic_error);
   EXPECT_THROW(g.add_comm(NodeKind::kBcast, {}, 0), std::logic_error);
+}
+
+TEST(DeadlockDiagnosis, NamesTheNodeEachBlockedRankWasRunning) {
+  // Node 1 broadcasts over ranks 0-2, but rank 1's copy of the graph has
+  // it dropped: ranks 0 and 2 wait in the broadcast forever. The modeled
+  // engine's DeadlockError names that node beside each wait site.
+  TaskGraph full;
+  full.add_local(NodeKind::kCopy, 0, 0);
+  const int bcast = full.add_comm(NodeKind::kBcast, {0, 1, 2}, 0);
+  full.seal();
+  TaskGraph skipped = full;
+  skipped.set_dropped(bcast, true);
+  for (const auto schedule : {taskgraph::GraphSchedule::kProgram,
+                              taskgraph::GraphSchedule::kDataflow}) {
+    sgmpi::Config config;
+    config.nranks = 3;
+    config.engine = sgmpi::Engine::kModeled;
+    sgmpi::Runtime runtime(config);
+    try {
+      runtime.run([&](sgmpi::Comm& world) {
+        taskgraph::ExecHooks hooks;
+        hooks.run_local = [](const TaskNode&) {};
+        hooks.run_comm = [&](const TaskNode&) {
+          double v = 1.0;
+          world.bcast(&v, 1, 0);
+        };
+        taskgraph::run_graph(world.rank() == 1 ? skipped : full,
+                             world.rank(), schedule, 0, hooks);
+      });
+      FAIL() << "run did not throw";
+    } catch (const sgmpi::DeadlockError& e) {
+      EXPECT_STREQ(e.what(),
+                   "sgmpi: deadlock: no rank can make progress; blocked: "
+                   "rank 0 in bcast slot (node 1 kBcast), "
+                   "rank 2 in bcast slot (node 1 kBcast)");
+    }
+  }
 }
 
 TEST(StepChainGraph, SummaShape) {
@@ -341,21 +496,20 @@ TEST(StepChainGraph, SummaShape) {
     const TaskNode& b = g.node(3 * s + 1);
     const TaskNode& gm = g.node(3 * s + 2);
     EXPECT_EQ(a.kind, NodeKind::kBcast);
-    EXPECT_EQ(a.owners, row);
-    EXPECT_EQ(b.owners, col);
+    EXPECT_EQ(vec(g.owners(a.id)), row);
+    EXPECT_EQ(vec(g.owners(b.id)), col);
     EXPECT_EQ(gm.kind, NodeKind::kGemm);
     EXPECT_EQ(a.payload, s);
     EXPECT_EQ(gm.payload, s);
     // The GEMM reads both panels; the next step's panels write-after-read
     // the shared workspaces, so they wait for this GEMM.
-    std::vector<int> preds = gm.preds;
-    std::sort(preds.begin(), preds.end());
+    const std::vector<int> preds = vec(g.preds(gm.id));  // ascending
     if (s == 0) {
       EXPECT_EQ(preds, (std::vector<int>{a.id, b.id}));
     } else {
       EXPECT_EQ(preds, (std::vector<int>{g.node(3 * s - 1).id, a.id, b.id}));
-      EXPECT_TRUE(std::count(a.preds.begin(), a.preds.end(), 3 * s - 1));
-      EXPECT_TRUE(std::count(b.preds.begin(), b.preds.end(), 3 * s - 1));
+      EXPECT_EQ(vec(g.preds(a.id)), (std::vector<int>{3 * s - 1}));
+      EXPECT_EQ(vec(g.preds(b.id)), (std::vector<int>{3 * s - 1}));
     }
   }
 }
@@ -384,18 +538,20 @@ TEST(StepChainGraph, Summa25dAddsReplicationAndReduction) {
   const TaskNode& red = g.node(static_cast<int>(g.size()) - 1);
   EXPECT_EQ(rep_a.kind, NodeKind::kBcast);
   EXPECT_EQ(rep_a.payload, -1);
-  EXPECT_EQ(rep_a.owners, stack);
+  EXPECT_EQ(vec(g.owners(rep_a.id)), stack);
   EXPECT_EQ(rep_b.payload, -1);
   EXPECT_EQ(red.kind, NodeKind::kReduce);
   EXPECT_EQ(red.payload, -2);
-  EXPECT_EQ(red.owners, stack);
+  EXPECT_EQ(vec(g.owners(red.id)), stack);
   // Depth-communicator collective order: A replication, B replication,
   // then (after the last GEMM) the reduction.
-  EXPECT_EQ(rep_a.succs.front(), rep_b.id);
-  EXPECT_TRUE(std::count(rep_b.succs.begin(), rep_b.succs.end(), 3));
-  ASSERT_EQ(red.preds.size(), 1u);
-  EXPECT_EQ(g.node(red.preds.front()).kind, NodeKind::kGemm);
-  EXPECT_EQ(g.node(red.preds.front()).payload, 1);
+  EXPECT_EQ(g.succs(rep_a.id).front(), rep_b.id);
+  const auto rep_b_succs = g.succs(rep_b.id);
+  EXPECT_TRUE(std::count(rep_b_succs.begin(), rep_b_succs.end(), 3));
+  const auto red_preds = g.preds(red.id);
+  ASSERT_EQ(red_preds.size(), 1u);
+  EXPECT_EQ(g.node(red_preds.front()).kind, NodeKind::kGemm);
+  EXPECT_EQ(g.node(red_preds.front()).payload, 1);
 }
 
 /// One numeric SUMMA run: gathered C plus every rank's report.
