@@ -18,7 +18,6 @@
 //                          K>0 = K identical procs per node — with
 //                          --node-procs 4, --nodes 256/1024 gives the
 //                          p=1024/4096 scale-out points)
-//        --engine thread|modeled   (modeled = fibers, cheap at large p)
 //        --bcast-algo tree|flat|ring|pipelined|auto
 //        --two-level               (topology-aware two-stage collectives)
 //        --partitioners nrrp,hierarchical,column_based,one_dimensional
@@ -100,7 +99,6 @@ int main(int argc, char** argv) {
   double net_gbps = 0.0;
   std::int64_t node_procs = 0;
   std::vector<std::string> partitioners;
-  sgmpi::Engine engine = sgmpi::Engine::kThread;
   trace::BcastAlgo bcast_algo = trace::BcastAlgo::kTree;
   bool two_level = false;
   try {
@@ -110,7 +108,6 @@ int main(int argc, char** argv) {
     node_procs = cli.get_int_min("node-procs", 0, 0);
     partitioners = split_csv(cli.get(
         "partitioners", "nrrp,hierarchical,column_based,one_dimensional"));
-    engine = sgmpi::parse_engine(cli.get("engine", "thread"));
     bcast_algo = trace::parse_bcast_algo(cli.get("bcast-algo", "tree"));
     two_level = cli.get_bool("two-level", false);
   } catch (const std::exception& e) {
@@ -169,7 +166,6 @@ int main(int argc, char** argv) {
       config.platform = platform;
       config.n = n;
       config.preset_spec = spec;
-      config.engine = engine;
       config.bcast_algo = bcast_algo;
       config.two_level_collectives = two_level;
       const auto res = core::run_pmm(config);
@@ -192,8 +188,7 @@ int main(int argc, char** argv) {
   table
       .render("Strong scaling across cluster nodes, N=" + std::to_string(n) +
               ", " + std::to_string(node_speeds.size()) + " procs/node, " +
-              "network " + util::Table::num(net_gbps, 1) + " GB/s, engine " +
-              sgmpi::to_string(engine) + ", bcast " +
+              "network " + util::Table::num(net_gbps, 1) + " GB/s, bcast " +
               trace::to_string(bcast_algo))
       .print(std::cout);
   if (baseline_added) {

@@ -36,7 +36,7 @@ void usage() {
       "  --kernel NAME      numeric DGEMM kernel: packed (default) |\n"
       "                     threaded | blocked | naive\n"
       "  --kernel-threads N shared compute-pool size override (0 = auto:\n"
-      "                     hardware threads minus rank threads)\n"
+      "                     hardware threads minus one)\n"
       "  --kernel-block B   cache-block edge for blocked/threaded (64)\n"
       "  --simd-tier T      packed microkernel tier: auto (default) |\n"
       "                     scalar | sse2 | avx2 (explicit unavailable\n"
@@ -49,9 +49,6 @@ void usage() {
       "                     tuned cache else 512)\n"
       "  --fastmm-max-depth D  fast recursion depth cap (default 3)\n"
       "  --scheduler NAME   eager | taskgraph (default eager)\n"
-      "  --engine NAME      thread (default, one OS thread per rank) |\n"
-      "                     modeled (cooperative fibers on one scheduler\n"
-      "                     thread; bit-identical, cheap at large p)\n"
       "  --bcast-algo NAME  collective pricing: tree (default) | flat |\n"
       "                     ring | pipelined | auto\n"
       "  --two-level        price collectives as inter-node stage over\n"
@@ -110,11 +107,6 @@ int main(int argc, char** argv) {
     config.summagen_options.overlap_depth =
         static_cast<int>(cli.get_int_min("overlap-depth", 2, 0));
     config.summagen_options.bcast_panel_rows = cli.get_int("panel-rows", 0);
-    try {
-      config.engine = sgmpi::parse_engine(cli.get("engine", "thread"));
-    } catch (const std::invalid_argument& e) {
-      throw util::CliError(std::string("--engine: ") + e.what());
-    }
     try {
       config.bcast_algo =
           trace::parse_bcast_algo(cli.get("bcast-algo", "tree"));

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -163,18 +162,17 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   }
 
   const RunGuard run_guard;
-  // Size the shared compute pool so rank threads + pool workers together
-  // fill the host — the paper's one-persistent-MKL-pool-per-processor
-  // setup, instead of per-call thread spawns oversubscribing the machine.
-  // config.kernel.threads > 0 overrides (clamped to hardware_concurrency).
-  // Under the modeled engine every rank shares one scheduler thread, so
-  // only that thread is reserved no matter how large p gets.
-  const int reserved = config.engine == sgmpi::Engine::kModeled ? 1 : p;
-  sgpool::Pool::set_reserved_threads(reserved);
-  sgpool::Pool::configure(config.kernel.threads > 0
-                              ? blas::resolve_gemm_threads(
-                                    config.kernel.threads)
-                              : sgpool::Pool::recommended_size(reserved));
+  // Size the shared compute pool so the thread hosting the rank fibers +
+  // pool workers together fill the host — the paper's one-persistent-MKL-
+  // pool-per-processor setup, instead of per-call thread spawns
+  // oversubscribing the machine. Every rank shares that one thread, so it
+  // is the only reservation however large p gets. config.kernel.threads > 0
+  // overrides (clamped to hardware_concurrency).
+  sgpool::Pool::set_reserved_threads(1);
+  sgpool::Pool::configure(
+      config.kernel.threads > 0
+          ? blas::resolve_gemm_threads(config.kernel.threads)
+          : sgpool::Pool::recommended_size(1));
 
   ExperimentResult result;
   JobPlan plan = plan_pmm(config);
@@ -201,7 +199,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   mpi_config.faults = config.faults;
   mpi_config.fault_detect_s = config.fault_detect_s;
   mpi_config.adaptive = config.repartition.enabled;
-  mpi_config.engine = config.engine;
   mpi_config.fiber_stack_bytes = config.fiber_stack_bytes;
   mpi_config.bcast_algo = config.bcast_algo;
   mpi_config.two_level_collectives = config.two_level_collectives;
@@ -233,21 +230,10 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   }
   // Accounting window opens after the global inputs exist: what follows is
   // the data plane proper (local stores, broadcasts, workspaces, gather).
-  // The window is a per-run StatsSink, not a process-wide snapshot delta —
-  // unrelated work recording on other threads would otherwise land in
-  // whichever window happened to be open. The main thread installs the
-  // sink here (covering local stores and the gather); every rank body
-  // installs it on its own thread below, and sgpool propagates it to
-  // pooled tasks, so even stolen DGEMM packs bill this run.
-  util::StatsSink job_stats;
-  std::optional<util::ScopedStatsSink> stats_guard;
-  stats_guard.emplace(&job_stats);
-  const auto take_alloc_window = [&result, &job_stats] {
-    util::DataPlaneStats window = job_stats.snapshot();
-    const util::DataPlaneStats now = util::data_plane_stats();
-    window.pool_resident_bytes = now.pool_resident_bytes;
-    window.pool_peak_resident_bytes = now.pool_peak_resident_bytes;
-    result.alloc = window;
+  // RunGuard keeps other runs out, so the process-wide delta is this run's.
+  const util::DataPlaneStats window_start = util::data_plane_stats();
+  const auto take_alloc_window = [&result, &window_start] {
+    result.alloc = util::data_plane_stats().since(window_start);
   };
   if (config.numeric) {
     // Single-phase runs write C in place: each rank's owned cells are
@@ -265,7 +251,7 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
   result.reports.resize(static_cast<std::size_t>(p));
 
   // Fault-tolerant runs re-execute in phases; rec_mutex guards the shared
-  // recovery state (completed-cell set and phase list) across rank threads.
+  // recovery state (completed-cell set and phase list) across ranks.
   std::mutex rec_mutex;
   CellSet done;
   std::vector<std::unique_ptr<Phase>> phases;
@@ -330,10 +316,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
 
   if (!fault_tolerant) {
     runtime.run([&](sgmpi::Comm& world) {
-      // Rank bodies run on their own threads (kThread) or as fibers of the
-      // calling thread (kModeled, where this re-installs the same sink);
-      // either way this job's events bill this job's sink.
-      util::ScopedStatsSink rank_stats(&job_stats);
       const int r = world.rank();
       // Drift without re-partitioning: the static plan limps along under
       // the time-varying speeds (the ablation baseline).
@@ -353,7 +335,6 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
     phases.push_back(std::move(ph0));
 
     runtime.run([&](sgmpi::Comm& world) {
-      util::ScopedStatsSink rank_stats(&job_stats);
       const int wr = world.rank();  // world comm: comm rank == world rank
       std::size_t round = 0;
       for (;;) {
@@ -550,17 +531,12 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
         }
       }
     }
-    // Re-take the window with the gather included, then close the sink:
+    // Re-take the window with the gather included; it closes here because
     // the verification reference is measurement harness, not data plane,
-    // and must not bill the job.
+    // and must not bill the job. The reference's scalar tier keeps each
+    // element's l-ascending chain whatever the band split or pool width,
+    // so the error is the same bits as against a whole kBlocked product.
     take_alloc_window();
-    stats_guard.reset();
-    // The rank threads have joined, so the pool is quiescent: widen it to
-    // the whole host for the reference (the next run's configure shrinks
-    // it back). The reference's scalar tier keeps each element's
-    // l-ascending chain whatever the band split or pool width, so the
-    // error is the same bits as against a whole kBlocked product.
-    sgpool::Pool::configure(sgpool::Pool::recommended_size(1));
     result.max_abs_error = reference_max_abs_error(a, b, c);
     double tolerance = gemm_tolerance(config.n);
     if (config.kernel.fastmm != blas::FastMmKind::kClassical) {

@@ -3,7 +3,9 @@
 //
 // The runner wires the full pipeline: workload partitioning (CPM or the
 // FPM load-imbalancing partitioner) -> shape construction (Section V) ->
-// SummaGen over the sgmpi runtime with one abstract processor per rank ->
+// SummaGen over the sgmpi runtime with one abstract processor per rank
+// (each rank a fiber on the calling thread; the compute pool gets the rest
+// of the host) ->
 // metric extraction (execution/computation/communication time split,
 // TFLOPs, communication volume, dynamic energy) and, on the numeric plane,
 // verification against the reference product (src/core/reference.hpp).
@@ -64,8 +66,9 @@ struct ExperimentConfig {
   bool contended = true;       ///< paper methodology: co-loaded profiles
   std::uint64_t seed = 42;     ///< matrix initialisation (numeric plane)
   /// Numeric DGEMM kernel. `kernel.threads` == 0 (default) sizes the shared
-  /// compute pool to hardware_concurrency() minus the rank threads; a
-  /// positive value overrides the pool size (clamped to the hardware).
+  /// compute pool to hardware_concurrency() minus the one thread hosting
+  /// the ranks; a positive value overrides the pool size (clamped to the
+  /// hardware).
   blas::GemmOptions kernel;
 
   /// Run-to-run measurement noise: lognormal sigma applied to every local
@@ -90,11 +93,10 @@ struct ExperimentConfig {
   /// virtual time, numeric kernels unaffected.
   device::DriftPlan drift;
 
-  /// Execution engine (DESIGN.md §5.14): kThread = one OS thread per rank
-  /// (default), kModeled = cooperative fibers on one scheduler thread —
-  /// results and virtual times bit-identical, p=1024–4096 becomes cheap.
-  sgmpi::Engine engine = sgmpi::Engine::kThread;
-  /// Stack reservation per modeled rank; 0 = the 1 MiB default.
+  /// Unread: every run hosts its ranks as fibers on the calling thread
+  /// (DESIGN.md §5.14, sgmpi::Engine).
+  sgmpi::Engine engine = sgmpi::Engine::kModeled;
+  /// Stack reservation per rank fiber; 0 = the 1 MiB default.
   std::size_t fiber_stack_bytes = 0;
   /// Broadcast algorithm priced into collective costs; kTree (the
   /// historical binomial tree) keeps virtual times bit-identical.
@@ -157,11 +159,10 @@ struct ExperimentResult {
 
   /// Data-plane allocation/copy accounting over the execution window:
   /// per-rank local stores, broadcasts, compute workspaces and the C
-  /// gather. Excludes building the global inputs and the serial
-  /// verification reference. Counter fields are this run's events,
-  /// attributed via a per-run StatsSink riding the pool's task token (so
-  /// unrelated work on other threads never bills the run); pool residency
-  /// fields are process-wide absolutes at run end.
+  /// gather. Excludes building the global inputs and the verification
+  /// reference. Counter fields are a delta of process-wide snapshots (runs
+  /// never overlap, so the window holds only this run's events); pool
+  /// residency fields are process-wide absolutes at run end.
   util::DataPlaneStats alloc;
 
   // --- Fault-tolerance accounting (all zero without a fault plan) ---
@@ -192,9 +193,9 @@ struct JobPlan {
 /// Runs one PMM. Throws on configuration errors (shape/processor-count
 /// mismatch, numeric plane at absurd n, ...).
 ///
-/// One run owns the process-wide runtime while it executes: it sizes the
-/// shared sgpool compute pool for its rank count, which drops the blas
-/// PackCache and the SharedSchedule cache of earlier runs. Runs therefore
+/// One run owns the process-wide runtime while it executes: it configures
+/// the shared sgpool compute pool, which drops the blas PackCache and the
+/// SharedSchedule cache of earlier runs. Runs therefore
 /// never overlap: a call made while another run_pmm is in flight (on any
 /// thread) throws std::logic_error without touching the pool.
 ExperimentResult run_pmm(const ExperimentConfig& config);

@@ -104,7 +104,7 @@ struct FtContext {
 
   /// Invoked after each owned C sub-partition (bi, bj) finishes — the
   /// completion tracker recovery snapshots. Must be thread-safe across
-  /// ranks (called from every rank thread).
+  /// ranks (called from every rank).
   std::function<void(int, int)> on_gemm_done;
 
   /// Live drift multiplier for this rank's modeled compute time at a given

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -25,38 +23,35 @@ namespace summagen::sgmpi::detail {
 ///
 /// Waits run `unwind_check` (which throws AbortedError / PeerFailedError
 /// when the run must unwind) so that an exception on one rank unwinds the
-/// whole parallel region instead of deadlocking. Polling backs off
-/// exponentially from min(poll_interval_s, 1 ms) up to poll_interval_s;
-/// aborts and fault triggers notify the condition variable, so unwind
-/// latency is one wakeup, not a full poll period. Under the modeled engine
-/// a blocked participant parks on the fiber scheduler instead of sleeping
-/// (engine_wait_step) and is resumed by the next notify (engine_notify_all).
+/// whole parallel region instead of deadlocking. A blocked participant
+/// parks on the meeting's mutex (engine_wait_step) and is resumed by the
+/// next wake on it (engine_notify_all) — the last arrival's, or an abort's
+/// or fault trigger's.
 class Meeting {
  public:
   template <typename UnwindCheck, typename Contribute, typename Finalize>
-  void rendezvous(const UnwindCheck& unwind_check, double poll_interval_s,
-                  int size, Contribute&& contribute, Finalize&& finalize) {
+  void rendezvous(const UnwindCheck& unwind_check, int size,
+                  Contribute&& contribute, Finalize&& finalize) {
     std::unique_lock<std::mutex> lock(mutex_);
     contribute();
     if (++count_ == size) {
       finalize();
       count_ = 0;
       ++generation_;
-      engine_notify_all(cv_);
+      engine_notify_all(mutex_);
       return;
     }
     const std::uint64_t my_generation = generation_;
-    double backoff_s = std::min(poll_interval_s, 0.001);
     while (generation_ == my_generation) {
       unwind_check();
-      engine_wait_step(lock, cv_, backoff_s, poll_interval_s, "meeting");
+      engine_wait_step(lock, "meeting");
     }
     unwind_check();
   }
 
   /// Wakes every waiter (used on abort / fault trigger so blocked ranks
   /// re-run their unwind check immediately).
-  void notify() { engine_notify_all(cv_); }
+  void notify() { engine_notify_all(mutex_); }
 
   /// Resets the meeting to its idle state. Only valid when no participant
   /// is inside `rendezvous` (the shrink finaliser holds this invariant:
@@ -65,12 +60,11 @@ class Meeting {
     std::lock_guard<std::mutex> lock(mutex_);
     count_ = 0;
     ++generation_;
-    engine_notify_all(cv_);
+    engine_notify_all(mutex_);
   }
 
  private:
   std::mutex mutex_;
-  std::condition_variable cv_;
   int count_ = 0;
   std::uint64_t generation_ = 0;
 };
@@ -114,10 +108,9 @@ struct CommState {
   Meeting meeting;
 
   // Non-blocking collectives (ibcast and the blocking wrappers built on
-  // it). Guarded by `async_mutex`; waiters poll `async_cv` plus the abort
-  // flag, mirroring Meeting.
+  // it). Guarded by `async_mutex`, which is also the waiters' wait object,
+  // mirroring Meeting.
   std::mutex async_mutex;
-  std::condition_variable async_cv;
   std::vector<std::uint64_t> next_post_seq;    ///< per-member post counter
   std::map<std::uint64_t, AsyncSlot> async_slots;  ///< keyed by sequence
 
@@ -145,8 +138,7 @@ struct Message {
 
 /// Per-world-rank receive queue.
 struct Mailbox {
-  std::mutex mutex;
-  std::condition_variable cv;
+  std::mutex mutex;  ///< guards `queue`; receivers park on it
   std::deque<Message> queue;
 };
 
@@ -269,10 +261,10 @@ class Context {
       std::lock_guard<std::mutex> lock(states_mutex);
       for (auto& st : states) {
         st.meeting.notify();
-        detail::engine_notify_all(st.async_cv);
+        detail::engine_notify_all(st.async_mutex);
       }
     }
-    for (auto& box : mailboxes) detail::engine_notify_all(box.cv);
+    for (auto& box : mailboxes) detail::engine_notify_all(box.mutex);
   }
 
   /// Resets all communicator fabric to its idle state: in-flight async

@@ -4,10 +4,13 @@
 #include <ucontext.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstdint>
 #include <new>
+#include <numeric>
+#include <random>
 #include <stdexcept>
 #include <system_error>
 
@@ -39,6 +42,7 @@ namespace summagen::sgmpi::detail {
 
 namespace {
 thread_local FiberHost* g_current_host = nullptr;
+thread_local std::uint64_t g_resume_seed = 0;  ///< ScopedResumeOrder
 
 std::size_t page_size() {
   static const std::size_t ps =
@@ -188,6 +192,11 @@ void FiberHost::set_runnable(int index, bool runnable) {
   }
 }
 
+bool FiberHost::is_runnable(int index) const {
+  const auto i = static_cast<std::size_t>(index);
+  return (runnable_[i / 64] >> (i % 64)) & 1u;
+}
+
 int FiberHost::next_runnable(int from) const {
   auto w = static_cast<std::size_t>(from) / 64;
   if (w >= runnable_.size()) return -1;
@@ -273,11 +282,21 @@ void FiberHost::run(const std::function<void(int)>& body) {
   const int n = static_cast<int>(fibers_.size());
   runnable_.assign((fibers_.size() + 63) / 64, 0);
   for (int i = 0; i < n; ++i) set_runnable(i, true);
-  // Sweeps in ascending rank order until every fiber returns. Each resumed
-  // fiber runs until it finishes, yields (stays runnable) or parks (runnable
-  // again once woken); the sweep order is the whole scheduling policy, so
-  // the interleaving — and therefore every max/sum over rank arrival state
-  // — is exactly reproducible.
+  if (g_resume_seed == 0) {
+    run_ascending();
+  } else {
+    run_shuffled(g_resume_seed);
+  }
+  g_current_host = nullptr;
+  body_ = nullptr;
+}
+
+void FiberHost::run_ascending() {
+  // Each resumed fiber runs until it finishes, yields (stays runnable) or
+  // parks (runnable again once woken); the sweep order is the whole
+  // scheduling policy, so the interleaving — and therefore every max/sum
+  // over rank arrival state — is exactly reproducible.
+  const int n = static_cast<int>(fibers_.size());
   int from = 0;  // the current sweep resumes fibers at or above this index
   while (finished_ < n) {
     int i = next_runnable(from);
@@ -290,9 +309,34 @@ void FiberHost::run(const std::function<void(int)>& body) {
     switch_to(i);
     from = i + 1;
   }
-  g_current_host = nullptr;
-  body_ = nullptr;
 }
+
+void FiberHost::run_shuffled(std::uint64_t seed) {
+  // The ascending sweep with the visiting order drawn afresh per sweep: a
+  // fiber woken during a sweep runs in it if its position is still ahead.
+  const int n = static_cast<int>(fibers_.size());
+  std::vector<int> order(fibers_.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::mt19937_64 rng(seed);
+  while (finished_ < n) {
+    std::shuffle(order.begin(), order.end(), rng);
+    bool resumed = false;
+    for (int i : order) {
+      if (!is_runnable(i)) continue;
+      set_runnable(i, false);
+      switch_to(i);
+      resumed = true;
+    }
+    if (!resumed) fail_deadlocked();
+  }
+}
+
+ScopedResumeOrder::ScopedResumeOrder(std::uint64_t seed)
+    : prev_(g_resume_seed) {
+  g_resume_seed = seed;
+}
+
+ScopedResumeOrder::~ScopedResumeOrder() { g_resume_seed = prev_; }
 
 }  // namespace summagen::sgmpi::detail
 

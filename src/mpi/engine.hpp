@@ -1,30 +1,34 @@
-// Modeled execution engine: many ranks on one OS thread.
+// The rank engine: every rank of a run is a fiber on the calling thread.
 //
-// The thread engine (the historical default) backs every sgmpi rank with a
-// std::thread, which caps the simulated cluster at a few dozen ranks — a
-// p=4096 run would need four thousand OS threads and their stacks. The
-// modeled engine replaces them with cooperative fibers: each rank body runs
-// unchanged on a stackful coroutine (ucontext), and one scheduler thread
-// resumes the fibers in rank order. A rank that would block on a peer
-// (rendezvous, async-slot wait, mailbox recv, shrink/commit gate) parks on
-// the wait object's condition variable instead of sleeping on it, so the
-// whole parallel region is a deterministic single-threaded event loop over
-// virtual time.
+// Each sgmpi rank body runs unchanged on a stackful coroutine (ucontext),
+// and one scheduler loop on the thread that called Runtime::run resumes
+// the fibers. A rank that would block on a peer (rendezvous, async-slot
+// wait, mailbox recv, shrink/commit gate) parks on its wait object — the
+// mutex guarding the state its wait loop tests — so the whole parallel
+// region is a deterministic single-threaded event loop over virtual time,
+// and p=4096 ranks cost one thread plus lazily committed stacks.
 //
-// Park/wake rule: a parked fiber is resumed only after a notify on the
-// object it parked on (engine_notify_all). Each sweep resumes the runnable
-// fibers in ascending rank order; a fiber woken during a sweep runs later
-// in the same sweep if its rank is above the one running, else in the next
-// sweep. A plain yield() leaves the fiber runnable.
+// Park/wake rule: a parked fiber is resumed only after a wake on the object
+// it parked on (engine_notify_all). Each sweep resumes the runnable fibers
+// in ascending rank order; a fiber woken during a sweep runs later in the
+// same sweep if its rank is above the one running, else in the next sweep.
+// A plain yield() leaves the fiber runnable.
+//
+// Cooperative scheduling: a fiber runs until it parks, yields or returns.
+// A rank that never reaches a blocking sgmpi call (a loop of completed
+// isends, a compute loop that polls nothing) starves every other rank for
+// as long as it runs; its peers, and their unwind checks, only run once it
+// blocks.
 //
 // Determinism: the rule skips only resumes whose wait predicate cannot have
-// changed — every state change a wait loop tests is followed by a notify on
+// changed — every state change a wait loop tests is followed by a wake on
 // its object, and a re-check of an unchanged predicate (plus the idempotent
-// unwind check) only parks again. So the sequence of state-changing steps
-// is exactly that of resuming every fiber each sweep. All cross-rank
-// arithmetic in the runtime is arrival-order independent too (max
-// reductions; buffer sums in ascending communicator-rank order), so results
-// AND virtual times are bit-identical to the thread engine.
+// unwind check) only parks again. All cross-rank arithmetic in the runtime
+// is meant to be arrival-order independent as well (max reductions; sums
+// in ascending communicator-rank order), so results AND virtual times must
+// not depend on the resume order. Tests check that claim with
+// ScopedResumeOrder, which replaces the ascending sweep by a seeded
+// shuffle of each sweep; production always sweeps in ascending order.
 //
 // Deadlock: when no fiber is runnable but some are unfinished, every parked
 // fiber is resumed with a DeadlockError naming each blocked rank, its wait
@@ -36,13 +40,13 @@
 // actually touches — the RSS that matters for the large-p smoke budget.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -63,19 +67,18 @@ class FiberHost {
   FiberHost& operator=(const FiberHost&) = delete;
 
   /// Runs `body(i)` for every fiber i to completion on the calling thread.
-  /// Fibers are started and resumed in ascending index order under the
-  /// park/wake rule above; an exception escaping a body terminates that
-  /// fiber and is captured in errors()[i] (the others keep running —
-  /// runtime-level unwind is the caller's job, exactly as with detached
-  /// rank threads).
+  /// Fibers are started and resumed in ascending index order (or the
+  /// ScopedResumeOrder shuffle) under the park/wake rule above; an
+  /// exception escaping a body terminates that fiber and is captured in
+  /// errors()[i] (the others keep running — runtime-level unwind is the
+  /// caller's job).
   void run(const std::function<void(int)>& body);
 
   /// Per-fiber captured exceptions after run() (null = clean exit).
   const std::vector<std::exception_ptr>& errors() const { return errors_; }
 
-  /// The host driving the calling thread, or null when the caller is a
-  /// plain thread (pool workers, the thread engine's ranks). Blocking wait
-  /// sites branch on this: park on the scheduler instead of sleeping.
+  /// The host driving the calling thread, or null outside a run (and on
+  /// pool workers). Blocking wait sites park on it.
   static FiberHost* current() noexcept;
 
   /// Index of the fiber currently running on this thread (-1 outside one).
@@ -107,8 +110,13 @@ class FiberHost {
   void switch_to(int index);
   void switch_back(Fiber& fiber, bool dying);
   void set_runnable(int index, bool runnable);
+  bool is_runnable(int index) const;
   /// Lowest runnable fiber index >= `from`, or -1.
   int next_runnable(int from) const;
+  /// Sweeps in ascending index order until every fiber has returned.
+  void run_ascending();
+  /// Sweeps in a freshly shuffled order each time (ScopedResumeOrder).
+  void run_shuffled(std::uint64_t seed);
   /// Resumes every parked fiber with a DeadlockError.
   void fail_deadlocked();
 
@@ -130,37 +138,48 @@ class FiberHost {
   void* host_tsan_fiber_ = nullptr;
 };
 
-/// One step of a blocking wait loop, engine-aware: under a FiberHost the
-/// calling fiber releases `lock`, parks on `cv` until a notify on it, and
-/// re-locks; on a plain thread it sleeps on `cv` with exponential backoff
-/// capped at `poll_interval_s`. The caller's loop re-checks its predicate
-/// (and unwind state) after every step, so both paths observe identical
-/// wake-up points. `site` names the wait in deadlock reports.
-template <typename Lock, typename Cv>
-inline void engine_wait_step(Lock& lock, Cv& cv, double& backoff_s,
-                             double poll_interval_s, const char* site) {
-  if (FiberHost* host = FiberHost::current()) {
-    lock.unlock();
-    try {
-      host->park(&cv, site);
-    } catch (...) {
-      lock.lock();
-      throw;
-    }
-    lock.lock();
-    return;
+/// Test-only resume-order hook. While an instance is alive on a thread,
+/// every FiberHost::run on that thread with a non-zero `seed` visits each
+/// sweep's runnable fibers in a seeded shuffled order instead of ascending
+/// order. Every fiber runnable at a sweep's start still runs once in that
+/// sweep, so the order is fair. Seed 0 is the ascending sweep. Scopes nest;
+/// the destructor restores the enclosing seed.
+class ScopedResumeOrder {
+ public:
+  explicit ScopedResumeOrder(std::uint64_t seed);
+  ~ScopedResumeOrder();
+  ScopedResumeOrder(const ScopedResumeOrder&) = delete;
+  ScopedResumeOrder& operator=(const ScopedResumeOrder&) = delete;
+
+ private:
+  std::uint64_t prev_;
+};
+
+/// One step of a blocking wait loop: releases `lock`, parks the calling
+/// fiber on the lock's mutex until a wake on it (engine_notify_all), and
+/// re-locks. The caller's loop re-checks its predicate (and unwind state)
+/// after every step. `site` names the wait in deadlock reports. Throws
+/// std::logic_error when reached outside a rank fiber.
+inline void engine_wait_step(std::unique_lock<std::mutex>& lock,
+                             const char* site) {
+  FiberHost* host = FiberHost::current();
+  if (host == nullptr) {
+    throw std::logic_error("sgmpi: blocking wait outside a rank fiber");
   }
-  cv.wait_for(lock, std::chrono::duration<double>(backoff_s));
-  backoff_s = std::min(backoff_s * 2.0, poll_interval_s);
+  lock.unlock();
+  try {
+    host->park(lock.mutex(), site);
+  } catch (...) {
+    lock.lock();
+    throw;
+  }
+  lock.lock();
 }
 
-/// Notifies every waiter of `cv` on either engine: wakes the fibers parked
-/// on it and the threads sleeping on it. Every state change that a wait
-/// loop on `cv` tests must be followed by this call.
-template <typename Cv>
-inline void engine_notify_all(Cv& cv) {
-  if (FiberHost* host = FiberHost::current()) host->wake(&cv);
-  cv.notify_all();
+/// Wakes every fiber parked on `m`. Every state change that a wait loop
+/// guarded by `m` tests must be followed by this call. No-op outside a run.
+inline void engine_notify_all(const std::mutex& m) {
+  if (FiberHost* host = FiberHost::current()) host->wake(&m);
 }
 
 }  // namespace summagen::sgmpi::detail

@@ -176,7 +176,7 @@ bool FaultRuntime::trigger_due_locked(int rank, double vtime) {
   }
   if (newly_interrupting) {
     epoch_.fetch_add(1, std::memory_order_release);
-    engine_notify_all(cv_);
+    engine_notify_all(mutex_);
   }
   return newly_interrupting;
 }
@@ -203,7 +203,7 @@ void FaultRuntime::raise_drift(int rank, double vtime) {
     s.first_detect_vtime = vtime;  // the raiser detected it itself
     events_.push_back(s);
     epoch_.fetch_add(1, std::memory_order_release);
-    engine_notify_all(cv_);
+    engine_notify_all(mutex_);
   }
   // Waking the context's blocked waits is harmless (poll ignores kDrift);
   // it just keeps the wakeup discipline uniform with planned triggers.
@@ -313,14 +313,12 @@ double FaultRuntime::send_attempt_penalty(int rank, double vtime,
   return penalty;
 }
 
-ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
-                                         double poll_interval_s) {
+ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime) {
   std::unique_lock<std::mutex> lock(mutex_);
   shrink_arrived_[static_cast<std::size_t>(rank)] = true;
   ++shrink_arrived_count_;
   shrink_entry_max_ = std::max(shrink_entry_max_, entry_vtime);
   const std::uint64_t my_gen = shrink_gen_;
-  double backoff_s = std::min(poll_interval_s, 0.001);
   while (shrink_gen_ == my_gen) {
     if (!shrink_finalizing_ && all_live_arrived_locked(shrink_arrived_)) {
       // First observer of completion finalises: reset the communicator
@@ -350,11 +348,10 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
       shrink_entry_max_ = 0.0;
       shrink_finalizing_ = false;
       ++shrink_gen_;
-      engine_notify_all(cv_);
+      engine_notify_all(mutex_);
       return result;
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s,
-                     "shrink gate");
+    engine_wait_step(lock, "shrink gate");
   }
   // Released by the finaliser. The snapshot cannot have been overwritten: a
   // next round needs every live rank to arrive again, including us.
@@ -362,8 +359,7 @@ ShrinkResult FaultRuntime::shrink_arrive(int rank, double entry_vtime,
 }
 
 std::pair<double, int> FaultRuntime::commit_arrive(int rank,
-                                                   trace::VirtualClock& clk,
-                                                   double poll_interval_s) {
+                                                   trace::VirtualClock& clk) {
   std::unique_lock<std::mutex> lock(mutex_);
   {
     // Trigger this rank's due events at the commit point (a rank whose
@@ -380,7 +376,6 @@ std::pair<double, int> FaultRuntime::commit_arrive(int rank,
   ++commit_arrived_count_;
   commit_entry_max_ = std::max(commit_entry_max_, clk.now());
   const std::uint64_t my_gen = commit_gen_;
-  double backoff_s = std::min(poll_interval_s, 0.001);
   while (commit_gen_ == my_gen) {
     // Failure first: if an interrupting event is live, every arriver must
     // unwind to recovery, so withdraw and throw rather than completing.
@@ -401,12 +396,11 @@ std::pair<double, int> FaultRuntime::commit_arrive(int rank,
       commit_arrived_count_ = 0;
       commit_entry_max_ = 0.0;
       ++commit_gen_;
-      engine_notify_all(cv_);
+      engine_notify_all(mutex_);
       clk.wait_until(commit_result_);
       return {commit_result_, commit_live_};
     }
-    engine_wait_step(lock, cv_, backoff_s, poll_interval_s,
-                     "commit gate");
+    engine_wait_step(lock, "commit gate");
   }
   clk.wait_until(commit_result_);
   return {commit_result_, commit_live_};

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -181,16 +180,14 @@ class FaultRuntime {
   /// events as handled and resets the communication fabric (first observer
   /// of completion finalises). Ranks that die while others wait shrink the
   /// completion condition instead of deadlocking.
-  ShrinkResult shrink_arrive(int rank, double entry_vtime,
-                             double poll_interval_s);
+  ShrinkResult shrink_arrive(int rank, double entry_vtime);
 
   /// End-of-phase agreement: blocks until every live rank arrives, then
   /// returns {entry-max, live count} if no unhandled interrupting failure
   /// exists, and throws PeerFailedError on every arriver otherwise. A
   /// failure that triggers while waiting aborts the wait with
   /// PeerFailedError. The caller's clock is settled to the entry-max.
-  std::pair<double, int> commit_arrive(int rank, trace::VirtualClock& clk,
-                                       double poll_interval_s);
+  std::pair<double, int> commit_arrive(int rank, trace::VirtualClock& clk);
 
   std::vector<FaultRecord> records() const;
 
@@ -227,8 +224,7 @@ class FaultRuntime {
   const int max_send_attempts_;
   const double retry_backoff_s_;
 
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
+  mutable std::mutex mutex_;  ///< also the wait object of both gates
   std::atomic<std::uint64_t> epoch_{0};
   std::vector<EventState> events_;
   std::vector<bool> dead_;

@@ -2,8 +2,8 @@
 //
 // Substrate replacing Intel MPI in the reproduction (DESIGN.md §2). The
 // paper runs SummaGen with one MPI process per abstract processor on a
-// single node; here each rank is a `std::thread`, and the primitives the
-// paper's code uses (communicators, sub-communicators over the ranks of a
+// single node; here each rank is a fiber on the thread that calls
+// Runtime::run (engine.hpp), and the primitives the paper's code uses (communicators, sub-communicators over the ranks of a
 // sub-partition row/column, `MPI_Bcast`, point-to-point) are implemented
 // over shared memory with rendezvous synchronisation.
 //
@@ -14,9 +14,8 @@
 // the `Modeled` data plane that lets benches run at the paper's N (10+ GB
 // matrices) without allocating them.
 //
-// Thread-safety: a Comm handle belongs to exactly one rank/thread. All ranks
-// of a communicator must invoke collectives in the same order (standard MPI
-// contract).
+// A Comm handle belongs to exactly one rank. All ranks of a communicator
+// must invoke collectives in the same order (standard MPI contract).
 #pragma once
 
 #include <cstddef>
@@ -36,22 +35,14 @@ namespace summagen::sgmpi {
 
 class Context;
 
-/// Execution engine backing the ranks of a run (DESIGN.md §5.14).
+/// The rank engine (DESIGN.md §5.14). There is one: every rank is a
+/// cooperative fiber on the thread that calls Runtime::run, so p=1024–4096
+/// runs cost one thread plus lazily committed fiber stacks. No library
+/// code reads an Engine value; the enum and the `engine` fields that hold
+/// it remain only because existing callers (the repo benchmark) name them.
 enum class Engine {
-  /// One OS thread per rank — the historical default. Real parallelism on
-  /// the numeric plane, but caps the simulated cluster at a few dozen ranks.
-  kThread,
-  /// Cooperative fibers: every rank is a resumable state machine driven
-  /// round-robin by one scheduler thread. Blocking wait sites yield instead
-  /// of sleeping, so p=1024–4096 runs cost one thread plus lazily-committed
-  /// fiber stacks. Results and virtual times are bit-identical to kThread.
   kModeled,
 };
-
-const char* to_string(Engine engine) noexcept;
-
-/// Parses "thread|modeled"; throws std::invalid_argument on anything else.
-Engine parse_engine(const std::string& name);
 
 /// Configuration of a runtime instance.
 struct Config {
@@ -67,15 +58,9 @@ struct Config {
   std::vector<int> node_of;
   trace::HockneyParams internode_link{20.0e-6, 1.0 / 1.0e9};
 
-  /// Watchdog: rendezvous waits poll the abort flag with this period (waits
-  /// back off exponentially from min(poll_interval_s, 1 ms) up to it).
-  double poll_interval_s = 0.02;
-
-  /// Execution engine. kModeled decouples "rank = thread": rank bodies run
-  /// unchanged on cooperative fibers scheduled by a single-threaded
-  /// virtual-time event loop, which is what makes p in the thousands cheap.
-  Engine engine = Engine::kThread;
-  /// Stack reservation per modeled rank (rounded up to whole pages, guard
+  /// Unread (see Engine).
+  Engine engine = Engine::kModeled;
+  /// Stack reservation per rank fiber (rounded up to whole pages, guard
   /// page added); 0 = the 1 MiB default. Pages commit lazily, so this
   /// bounds address space, not RSS.
   std::size_t fiber_stack_bytes = 0;
@@ -115,8 +100,8 @@ class AbortedError : public std::runtime_error {
   AbortedError() : std::runtime_error("sgmpi: run aborted by another rank") {}
 };
 
-/// Thrown on every blocked rank when the modeled engine finds that no rank
-/// can make progress while some are unfinished (e.g. one rank skipped a
+/// Thrown on every blocked rank when the engine finds that no rank can
+/// make progress while some are unfinished (e.g. one rank skipped a
 /// collective its peers wait on). what() names each blocked rank and its
 /// wait site: meeting, bcast slot, recv, shrink gate or commit gate —
 /// followed by the task it was running when one was noted (note_task),
@@ -128,8 +113,8 @@ class DeadlockError : public std::runtime_error {
 
 /// Notes the task-graph node the calling rank is running, for
 /// DeadlockError messages: node `id` of kind `kind` (a string that must
-/// outlive the run). A negative `id` clears the note. Only the modeled
-/// engine diagnoses deadlocks, so on the thread engine this is a no-op.
+/// outlive the run). A negative `id` clears the note. No-op outside a
+/// rank fiber.
 void note_task(int id, const char* kind) noexcept;
 
 /// Handle to one in-flight non-blocking operation (MPI_Request analogue).
@@ -395,8 +380,9 @@ class Comm {
   int rank_;                 ///< my rank within this communicator
 };
 
-/// Owns the parallel region: spawns `nranks` threads, hands each a world
-/// communicator, joins, and rethrows the first exception.
+/// Owns the parallel region: runs `nranks` rank fibers on the calling
+/// thread, hands each a world communicator, and rethrows the first
+/// exception once all have finished.
 class Runtime {
  public:
   explicit Runtime(Config config);

@@ -131,7 +131,7 @@ Request Comm::ibcast_bytes(void* data, std::int64_t bytes, int root) {
       slot.root_posted = true;
     }
   }
-  detail::engine_notify_all(st.async_cv);
+  detail::engine_notify_all(st.async_mutex);
   return Request{std::move(op)};
 }
 
@@ -215,7 +215,7 @@ Request Comm::ibcast_panel(util::ConstMatrixView src, util::MatrixView dst,
       slot.root_posted = true;
     }
   }
-  detail::engine_notify_all(st.async_cv);
+  detail::engine_notify_all(st.async_mutex);
   return Request{std::move(op)};
 }
 
@@ -280,7 +280,7 @@ Request Comm::isend_bytes(const void* data, std::int64_t bytes, int dest,
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(msg));
   }
-  detail::engine_notify_all(box.cv);
+  detail::engine_notify_all(box.mutex);
   return Request{std::move(op)};
 }
 
@@ -362,7 +362,7 @@ Request Comm::isend_panel(util::ConstMatrixView src, int dest, int tag) {
     std::lock_guard<std::mutex> lock(box.mutex);
     box.queue.push_back(std::move(msg));
   }
-  detail::engine_notify_all(box.cv);
+  detail::engine_notify_all(box.mutex);
   return Request{std::move(op)};
 }
 
@@ -399,7 +399,6 @@ double Comm::wait(Request& request) {
       detail::Message msg;
       {
         std::unique_lock<std::mutex> lock(box.mutex);
-        double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
         for (;;) {
           const auto it = std::find_if(
               box.queue.begin(), box.queue.end(),
@@ -413,8 +412,7 @@ double Comm::wait(Request& request) {
             break;
           }
           ctx_->unwind_check(me);
-          detail::engine_wait_step(lock, box.cv, backoff_s,
-                                   ctx_->config.poll_interval_s, "recv");
+          detail::engine_wait_step(lock, "recv");
         }
       }
       if (msg.bytes != op.bytes) {
@@ -450,13 +448,10 @@ double Comm::wait(Request& request) {
           throw std::logic_error("sgmpi: request completed twice");
         }
         detail::AsyncSlot& slot = it->second;
-        double backoff_s = std::min(ctx_->config.poll_interval_s, 0.001);
         const bool is_root = op.kind == Request::Kind::kBcastSendRoot;
         while (slot.posted < q || (is_root && slot.copied < q - 1)) {
           ctx_->unwind_check(me);
-          detail::engine_wait_step(lock, st.async_cv, backoff_s,
-                                   ctx_->config.poll_interval_s,
-                                   "bcast slot");
+          detail::engine_wait_step(lock, "bcast slot");
         }
         if (!is_root) {
           if (op.recv_buf != nullptr && slot.src != nullptr) {
@@ -482,7 +477,7 @@ double Comm::wait(Request& request) {
         entry_max = slot.entry_max;
         finish_slot(st, it, q);
       }
-      detail::engine_notify_all(st.async_cv);
+      detail::engine_notify_all(st.async_mutex);
       // Panel root with a local destination: store its own copy of the
       // panel now, outside the slot lock (src and dst are this rank's
       // buffers; values are identical whenever it happens before return).

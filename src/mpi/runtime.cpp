@@ -1,6 +1,5 @@
 #include <exception>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "src/mpi/context.hpp"
@@ -15,17 +14,6 @@ std::uint64_t next_context_uid() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace detail
-
-const char* to_string(Engine engine) noexcept {
-  return engine == Engine::kModeled ? "modeled" : "thread";
-}
-
-Engine parse_engine(const std::string& name) {
-  if (name == "thread") return Engine::kThread;
-  if (name == "modeled") return Engine::kModeled;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (expected thread|modeled)");
-}
 
 Runtime::Runtime(Config config) : config_(config) {
   if (config_.nranks < 1) {
@@ -43,7 +31,6 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
   }
   std::vector<std::exception_ptr> errors(
       static_cast<std::size_t>(config_.nranks));
-  // One rank body, shared by both engines so error semantics cannot drift.
   const auto rank_main = [this, &body, &errors](int r) {
     try {
       Comm world(ctx_, 0, r);
@@ -61,19 +48,10 @@ void Runtime::run(const std::function<void(Comm&)>& body) {
     }
   };
 
-  if (config_.engine == Engine::kModeled) {
-    // All ranks as fibers on this thread, resumed round-robin in rank
-    // order; blocked operations yield back here instead of sleeping.
-    detail::FiberHost host(config_.nranks, config_.fiber_stack_bytes);
-    host.run(rank_main);
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(config_.nranks));
-    for (int r = 0; r < config_.nranks; ++r) {
-      threads.emplace_back([&rank_main, r] { rank_main(r); });
-    }
-    for (auto& t : threads) t.join();
-  }
+  // All ranks as fibers on this thread, resumed round-robin in rank
+  // order; blocked operations park back here instead of sleeping.
+  detail::FiberHost host(config_.nranks, config_.fiber_stack_bytes);
+  host.run(rank_main);
 
   if (ctx_->aborted.load()) {
     ctx_->poisoned = true;

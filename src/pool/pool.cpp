@@ -24,14 +24,7 @@ std::vector<std::function<void()>>& quiescent_hooks() {
 thread_local Pool* tl_worker_pool = nullptr;
 thread_local std::size_t tl_worker_index = 0;
 
-// Attribution token inherited by pooled tasks (see pool.hpp).
-thread_local void* tl_task_token = nullptr;
-
 }  // namespace
-
-void* current_task_token() { return tl_task_token; }
-
-void set_current_task_token(void* token) { tl_task_token = token; }
 
 // Locking discipline: `workers_` (the vector itself) is only mutated by
 // start()/shutdown(), which are quiescent-only (no tasks in flight, no
@@ -214,17 +207,12 @@ bool Pool::try_run_one() {
 }
 
 void Pool::run_task(Task& task) {
-  // Install the submitter's token for the task's duration — the executing
-  // thread may be a worker, a thief, or a helping waiter from another job.
-  void* const prev_token = tl_task_token;
-  tl_task_token = task.token;
   std::exception_ptr error;
   try {
     task.fn();
   } catch (...) {
     error = std::current_exception();
   }
-  tl_task_token = prev_token;
   executed_.fetch_add(1, std::memory_order_relaxed);
   if (task.group != nullptr) task.group->finish_task(error);
 }
@@ -263,7 +251,7 @@ void TaskGroup::run(std::function<void()> fn) {
     std::lock_guard<std::mutex> lk(mu_);
     ++pending_;
   }
-  pool_.submit(Pool::Task{std::move(fn), this, tl_task_token});
+  pool_.submit(Pool::Task{std::move(fn), this});
 }
 
 void TaskGroup::finish_task(std::exception_ptr error) {

@@ -5,9 +5,9 @@
 // worker pool per abstract processor. This is the reproduction's equivalent:
 // one shared work-stealing thread pool per process that all compute
 // parallelism (blas::dgemm row bands, out-of-core tile stages, parallel
-// matrix fills) is routed through. Rank threads of the in-process sgmpi
-// platform submit tasks and *help execute them while waiting*, so the host
-// is never oversubscribed beyond `rank threads + pool workers` — sized
+// matrix fills) is routed through. The thread hosting the sgmpi rank
+// fibers submits tasks and *helps execute them while waiting*, so the host
+// is never oversubscribed beyond `that thread + pool workers` — sized
 // together to hardware_concurrency() (DESIGN.md "Compute executor").
 //
 // Shape: persistent workers, one mutex-guarded deque per worker. Owners
@@ -31,16 +31,6 @@
 namespace summagen::sgpool {
 
 class TaskGroup;
-
-/// Thread-local task token, inherited by pooled work: every submitted task
-/// captures the submitting thread's token and installs it on the executing
-/// thread for the task's duration (workers, thieves, and helping waiters
-/// alike), restoring the executor's own token afterwards. The pool never
-/// interprets the value — it is an attribution channel for layers above
-/// (util::StatsSink rides it so concurrent jobs' data-plane events bill
-/// the right job even from stolen tasks).
-void* current_task_token();
-void set_current_task_token(void* token);
 
 /// Observability counters (test hooks; monotonically increasing).
 struct PoolStats {
@@ -73,11 +63,11 @@ class Pool {
   /// Resizes the shared pool (no-op when the size already matches). Must be
   /// called at a quiescent point — no tasks in flight. The experiment
   /// runner calls this once per run with `hardware_concurrency()` minus the
-  /// live rank threads.
+  /// one thread hosting the ranks.
   static void configure(int threads);
 
   /// Worker count that fills the machine alongside `reserved_threads`
-  /// always-running threads (sgmpi ranks): max(1, hw_concurrency - reserved).
+  /// always-running threads: max(1, hw_concurrency - reserved).
   static int recommended_size(int reserved_threads);
 
   /// Threads reserved for rank execution, used by the lazy default size.
@@ -104,7 +94,6 @@ class Pool {
   struct Task {
     std::function<void()> fn;
     TaskGroup* group = nullptr;
-    void* token = nullptr;  ///< submitter's task token (see above)
   };
 
   struct Worker {

@@ -2,8 +2,6 @@
 
 #include <atomic>
 
-#include "src/pool/pool.hpp"
-
 namespace summagen::util {
 namespace {
 
@@ -62,105 +60,36 @@ DataPlaneStats data_plane_stats() {
   return s;
 }
 
-DataPlaneStats StatsSink::snapshot() const {
-  DataPlaneStats s;
-  s.allocs = allocs_.load(kRelaxed);
-  s.alloc_bytes = alloc_bytes_.load(kRelaxed);
-  s.copy_calls = copy_calls_.load(kRelaxed);
-  s.copy_bytes = copy_bytes_.load(kRelaxed);
-  s.pool_acquires = pool_acquires_.load(kRelaxed);
-  s.pool_hits = pool_hits_.load(kRelaxed);
-  s.pack_lookups = pack_lookups_.load(kRelaxed);
-  s.pack_hits = pack_hits_.load(kRelaxed);
-  s.sched_lookups = sched_lookups_.load(kRelaxed);
-  s.sched_hits = sched_hits_.load(kRelaxed);
-  s.fastmm_leases = fastmm_leases_.load(kRelaxed);
-  s.fastmm_bytes = fastmm_bytes_.load(kRelaxed);
-  return s;
-}
-
-void StatsSink::add(const DataPlaneStats& d) {
-  allocs_.fetch_add(d.allocs, kRelaxed);
-  alloc_bytes_.fetch_add(d.alloc_bytes, kRelaxed);
-  copy_calls_.fetch_add(d.copy_calls, kRelaxed);
-  copy_bytes_.fetch_add(d.copy_bytes, kRelaxed);
-  pool_acquires_.fetch_add(d.pool_acquires, kRelaxed);
-  pool_hits_.fetch_add(d.pool_hits, kRelaxed);
-  pack_lookups_.fetch_add(d.pack_lookups, kRelaxed);
-  pack_hits_.fetch_add(d.pack_hits, kRelaxed);
-  sched_lookups_.fetch_add(d.sched_lookups, kRelaxed);
-  sched_hits_.fetch_add(d.sched_hits, kRelaxed);
-  fastmm_leases_.fetch_add(d.fastmm_leases, kRelaxed);
-  fastmm_bytes_.fetch_add(d.fastmm_bytes, kRelaxed);
-}
-
-// The sink pointer rides the sgpool task token so pooled tasks inherit the
-// submitting thread's attribution (src/pool/pool.hpp).
-StatsSink* current_stats_sink() {
-  return static_cast<StatsSink*>(sgpool::current_task_token());
-}
-
-ScopedStatsSink::ScopedStatsSink(StatsSink* sink)
-    : prev_(sgpool::current_task_token()) {
-  sgpool::set_current_task_token(sink);
-}
-
-ScopedStatsSink::~ScopedStatsSink() { sgpool::set_current_task_token(prev_); }
-
 void record_alloc(std::int64_t bytes) {
   if (bytes <= 0) return;
   g_allocs.fetch_add(1, kRelaxed);
   g_alloc_bytes.fetch_add(bytes, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->allocs_.fetch_add(1, kRelaxed);
-    s->alloc_bytes_.fetch_add(bytes, kRelaxed);
-  }
 }
 
 void record_copy(std::int64_t bytes) {
   g_copy_calls.fetch_add(1, kRelaxed);
   g_copy_bytes.fetch_add(bytes, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->copy_calls_.fetch_add(1, kRelaxed);
-    s->copy_bytes_.fetch_add(bytes, kRelaxed);
-  }
 }
 
 void record_pool_acquire(bool hit) {
   g_pool_acquires.fetch_add(1, kRelaxed);
   if (hit) g_pool_hits.fetch_add(1, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->pool_acquires_.fetch_add(1, kRelaxed);
-    if (hit) s->pool_hits_.fetch_add(1, kRelaxed);
-  }
 }
 
 void record_pack_lookup(bool hit) {
   g_pack_lookups.fetch_add(1, kRelaxed);
   if (hit) g_pack_hits.fetch_add(1, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->pack_lookups_.fetch_add(1, kRelaxed);
-    if (hit) s->pack_hits_.fetch_add(1, kRelaxed);
-  }
 }
 
 void record_sched_lookup(bool hit) {
   g_sched_lookups.fetch_add(1, kRelaxed);
   if (hit) g_sched_hits.fetch_add(1, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->sched_lookups_.fetch_add(1, kRelaxed);
-    if (hit) s->sched_hits_.fetch_add(1, kRelaxed);
-  }
 }
 
 void record_fastmm_lease(std::int64_t bytes) {
   if (bytes <= 0) return;
   g_fastmm_leases.fetch_add(1, kRelaxed);
   g_fastmm_bytes.fetch_add(bytes, kRelaxed);
-  if (StatsSink* s = current_stats_sink()) {
-    s->fastmm_leases_.fetch_add(1, kRelaxed);
-    s->fastmm_bytes_.fetch_add(bytes, kRelaxed);
-  }
 }
 
 void record_pool_resident_delta(std::int64_t delta) {

@@ -9,18 +9,11 @@
 //
 // All counters are relaxed atomics: they are statistics, not
 // synchronisation, and the hot paths only pay an uncontended atomic add.
-//
-// Per-job scoping: process-wide snapshot deltas misattribute events when
-// other work records concurrently (another thread's DGEMMs, a test driving
-// kernels alongside a run), so every record_* call additionally credits the
-// StatsSink installed on the recording thread, if any. The sink travels
-// with the work: a rank thread installs its job's sink for its lifetime,
-// and sgpool tasks inherit the submitting thread's sink (the pool
-// propagates the thread-local task token from submit to execution), so a
-// DGEMM pack running on a stolen worker still bills the right job.
+// A run's figures are a delta of process-wide snapshots: runs never
+// overlap (core::run_pmm refuses it), so every event inside the window
+// belongs to the run.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 
 namespace summagen::util {
@@ -74,65 +67,6 @@ struct DataPlaneStats {
 
 /// Snapshot of the process-wide counters.
 DataPlaneStats data_plane_stats();
-
-/// Per-job accumulator of the same event counters. Install one on a thread
-/// with ScopedStatsSink and every record_* from that thread — and from any
-/// sgpool task it submits — credits the sink on top of the process-wide
-/// counters. Thread-safe (relaxed atomics, like the globals).
-class StatsSink {
- public:
-  StatsSink() = default;
-  StatsSink(const StatsSink&) = delete;
-  StatsSink& operator=(const StatsSink&) = delete;
-
-  /// The events credited to this sink so far. The pool-residency fields are
-  /// process-wide absolutes by definition and are always 0 here; callers
-  /// wanting them combine this snapshot with data_plane_stats().
-  DataPlaneStats snapshot() const;
-
-  /// Adds `d`'s counter fields (not residency) to this sink — used when a
-  /// helper measured a sub-phase separately.
-  void add(const DataPlaneStats& d);
-
- private:
-  friend void record_alloc(std::int64_t);
-  friend void record_copy(std::int64_t);
-  friend void record_pool_acquire(bool);
-  friend void record_pack_lookup(bool);
-  friend void record_sched_lookup(bool);
-  friend void record_fastmm_lease(std::int64_t);
-
-  std::atomic<std::int64_t> allocs_{0};
-  std::atomic<std::int64_t> alloc_bytes_{0};
-  std::atomic<std::int64_t> copy_calls_{0};
-  std::atomic<std::int64_t> copy_bytes_{0};
-  std::atomic<std::int64_t> pool_acquires_{0};
-  std::atomic<std::int64_t> pool_hits_{0};
-  std::atomic<std::int64_t> pack_lookups_{0};
-  std::atomic<std::int64_t> pack_hits_{0};
-  std::atomic<std::int64_t> sched_lookups_{0};
-  std::atomic<std::int64_t> sched_hits_{0};
-  std::atomic<std::int64_t> fastmm_leases_{0};
-  std::atomic<std::int64_t> fastmm_bytes_{0};
-};
-
-/// The sink installed on the calling thread (nullptr when none).
-StatsSink* current_stats_sink();
-
-/// RAII install of `sink` as the calling thread's sink; restores the
-/// previous sink on destruction. Passing nullptr suspends attribution for
-/// the scope (e.g. around a verification reference that is measurement
-/// harness, not data plane).
-class ScopedStatsSink {
- public:
-  explicit ScopedStatsSink(StatsSink* sink);
-  ~ScopedStatsSink();
-  ScopedStatsSink(const ScopedStatsSink&) = delete;
-  ScopedStatsSink& operator=(const ScopedStatsSink&) = delete;
-
- private:
-  void* prev_;
-};
 
 /// Records one heap allocation of `bytes` for matrix payload data. Called
 /// by the Matrix constructor and by BufferPool misses; transient workspace

@@ -1,7 +1,8 @@
 // Leveled logging with a global threshold; thread-safe line emission.
 //
-// The message-passing runtime runs one thread per rank, so log lines must
-// not interleave mid-line; a process-wide mutex serialises emission.
+// Pool workers and the thread hosting the ranks may log concurrently, so
+// lines must not interleave mid-line; a process-wide mutex serialises
+// emission.
 #pragma once
 
 #include <sstream>

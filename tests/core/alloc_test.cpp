@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <string>
 
+#include "src/core/reference.hpp"
 #include "src/core/runner.hpp"
 #include "src/util/accounting.hpp"
+#include "src/util/rng.hpp"
 
 namespace summagen {
 namespace {
@@ -117,6 +119,36 @@ TEST(AllocSteadyState, PipelinedChunkCountDoesNotChangeAllocations) {
   EXPECT_LE(coarse.alloc.allocs, 4);
   EXPECT_LE(fine.alloc.allocs, 4);
   EXPECT_LE(fine.alloc.alloc_bytes, 4 * kMiB);
+}
+
+// The accounting window is a process-wide delta that closes after the C
+// gather and before the verification reference: what verification records
+// is measurement harness and must appear in the call's process-wide delta
+// but not in result.alloc.
+TEST(AllocWindow, VerificationIsNotBilledToTheRun) {
+  ExperimentConfig config =
+      numeric_config(Shape::kSquareCorner, Scheduler::kEager);
+  config.n = 512;
+  ASSERT_TRUE(core::run_pmm(config).verified);  // warm the pool
+
+  // What the verification reference records on its own at this size.
+  util::Matrix a(config.n, config.n), b(config.n, config.n);
+  util::fill_random(a, 1);
+  util::fill_random(b, 2);
+  const util::Matrix c(config.n, config.n, 0.0);
+  const util::DataPlaneStats before_verify = util::data_plane_stats();
+  core::reference_max_abs_error(a, b, c);
+  const util::DataPlaneStats verify =
+      util::data_plane_stats().since(before_verify);
+  ASSERT_GT(verify.pool_acquires, 0);
+
+  const util::DataPlaneStats before = util::data_plane_stats();
+  const ExperimentResult res = core::run_pmm(config);
+  const util::DataPlaneStats call = util::data_plane_stats().since(before);
+  ASSERT_TRUE(res.verified);
+  EXPECT_GT(res.alloc.pool_acquires, 0);
+  EXPECT_GE(call.pool_acquires - res.alloc.pool_acquires,
+            verify.pool_acquires);
 }
 
 }  // namespace

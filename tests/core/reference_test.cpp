@@ -129,8 +129,9 @@ TEST(Reference, NonFiniteEntriesFailVerification) {
   EXPECT_TRUE(std::isnan(reference_max_abs_error(ops.a, ops.b, all_nan)));
 }
 
-// Verification widens the pool to the whole host once the rank threads
-// have joined; the next run's own sizing shrinks it back.
+// Every run hosts its ranks as fibers on the calling thread, so numeric and
+// modeled runs alike leave the pool at the host width minus that one
+// thread, and verification runs at that width without a resize.
 TEST(Reference, NumericRunLeavesHostWidePoolForNextRunToResize) {
   ExperimentConfig config;
   config.platform = device::Platform::hclserver1();
@@ -139,7 +140,6 @@ TEST(Reference, NumericRunLeavesHostWidePoolForNextRunToResize) {
   config.regime = Regime::kConstant;
   config.cpm_speeds = {1.0, 2.0, 0.9};
   config.numeric = true;
-  const int p = config.platform.nprocs();
   const ExperimentResult numeric = run_pmm(config);
   EXPECT_TRUE(numeric.verified) << numeric.max_abs_error;
   EXPECT_EQ(sgpool::Pool::instance().size(),
@@ -148,11 +148,13 @@ TEST(Reference, NumericRunLeavesHostWidePoolForNextRunToResize) {
   config.numeric = false;
   run_pmm(config);
   EXPECT_EQ(sgpool::Pool::instance().size(),
-            sgpool::Pool::recommended_size(p));
+            sgpool::Pool::recommended_size(1));
   config.numeric = true;
   const ExperimentResult again = run_pmm(config);
   EXPECT_TRUE(again.verified);
   EXPECT_EQ(again.max_abs_error, numeric.max_abs_error);
+  EXPECT_EQ(sgpool::Pool::instance().size(),
+            sgpool::Pool::recommended_size(1));
 }
 
 }  // namespace

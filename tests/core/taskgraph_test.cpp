@@ -451,8 +451,8 @@ TEST(TaskGraphInvariants, RejectsBadEdgesAndCycles) {
 
 TEST(DeadlockDiagnosis, NamesTheNodeEachBlockedRankWasRunning) {
   // Node 1 broadcasts over ranks 0-2, but rank 1's copy of the graph has
-  // it dropped: ranks 0 and 2 wait in the broadcast forever. The modeled
-  // engine's DeadlockError names that node beside each wait site.
+  // it dropped: ranks 0 and 2 wait in the broadcast forever. The engine's
+  // DeadlockError names that node beside each wait site.
   TaskGraph full;
   full.add_local(NodeKind::kCopy, 0, 0);
   const int bcast = full.add_comm(NodeKind::kBcast, {0, 1, 2}, 0);
@@ -463,7 +463,6 @@ TEST(DeadlockDiagnosis, NamesTheNodeEachBlockedRankWasRunning) {
                               taskgraph::GraphSchedule::kDataflow}) {
     sgmpi::Config config;
     config.nranks = 3;
-    config.engine = sgmpi::Engine::kModeled;
     sgmpi::Runtime runtime(config);
     try {
       runtime.run([&](sgmpi::Comm& world) {

@@ -16,7 +16,6 @@ namespace {
 Config small_config(int nranks) {
   Config config;
   config.nranks = nranks;
-  config.poll_interval_s = 0.005;
   return config;
 }
 
@@ -62,6 +61,11 @@ TEST(AbortUnwind, IsendWait) {
   // isend completion is local (buffered-eager), so a single post to the
   // dead rank can slip through before the sibling's abort registers; what
   // must hold is that the posting path's unwind check eventually fires.
+  // This test depends on the resume order: rank 1's isend/wait loop never
+  // parks, so under cooperative scheduling it only ever sees the abort
+  // because the ascending sweep runs rank 0 (the thrower) first. Resumed
+  // before rank 0, rank 1 would spin forever — the starvation rule of
+  // src/mpi/engine.hpp — so this test never enables ScopedResumeOrder.
   Runtime rt(small_config(2));
   EXPECT_THROW(rt.run([](Comm& world) {
     if (world.rank() == 0) throw std::range_error("sibling failure");

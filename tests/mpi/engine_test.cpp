@@ -1,14 +1,19 @@
-// Modeled engine: FiberHost scheduling, engine selection, and the
-// bit-identity contract between the thread and modeled engines over every
-// sgmpi primitive class (collectives, async slots, point-to-point, faults).
+// The rank engine: FiberHost scheduling, the runtime over fibers, and the
+// arrival-order independence contract — every fair resume order gives
+// bit-identical payloads and virtual times over every sgmpi primitive class
+// (collectives, async slots, point-to-point, faults).
 #include "src/mpi/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/mpi/mpi.hpp"
@@ -17,12 +22,15 @@ namespace summagen::sgmpi {
 namespace {
 
 using detail::FiberHost;
+using detail::ScopedResumeOrder;
 
-Config engine_config(int nranks, Engine engine) {
+/// Non-zero resume-order seeds every equivalence case runs against the
+/// ascending sweep.
+constexpr std::uint64_t kResumeSeeds[] = {1, 2, 3, 4};
+
+Config engine_config(int nranks) {
   Config config;
   config.nranks = nranks;
-  config.engine = engine;
-  config.poll_interval_s = 0.005;
   return config;
 }
 
@@ -235,20 +243,85 @@ TEST(FiberHost, NoRunnableFiberRaisesDeadlockInEveryParkedFiber) {
   EXPECT_TRUE(host.errors()[1] == nullptr);
 }
 
-// --- Engine selection + parsing ---
+// --- Seeded resume order ---
 
-TEST(Engine, ParseAndPrintRoundTrip) {
-  EXPECT_EQ(parse_engine("thread"), Engine::kThread);
-  EXPECT_EQ(parse_engine("modeled"), Engine::kModeled);
-  EXPECT_STREQ(to_string(Engine::kThread), "thread");
-  EXPECT_STREQ(to_string(Engine::kModeled), "modeled");
-  EXPECT_THROW(parse_engine("fibers"), std::invalid_argument);
+/// (fiber, step) log of `n` fibers that each yield `steps` times.
+std::vector<std::pair<int, int>> yield_trace(int n, int steps) {
+  FiberHost host(n, 0);
+  std::vector<std::pair<int, int>> trace;
+  host.run([&](int i) {
+    for (int step = 0; step < steps; ++step) {
+      trace.emplace_back(i, step);
+      FiberHost::current()->yield();
+    }
+  });
+  return trace;
 }
 
-// --- Modeled engine correctness over the primitives ---
+TEST(FiberHost, SeededResumeOrderIsFairAndReproducible) {
+  // Every fiber yields each step, so each sweep is exactly one step: the
+  // trace must be step-major with every fiber once per step, in an order
+  // that a seed fixes and that differs from ascending for some seed. Seed
+  // 0 is the ascending sweep.
+  constexpr int kFibers = 6;
+  constexpr int kSteps = 4;
+  const auto ascending = yield_trace(kFibers, kSteps);
+  {
+    const ScopedResumeOrder order(0);
+    EXPECT_EQ(yield_trace(kFibers, kSteps), ascending);
+  }
+  bool some_order_differs = false;
+  for (const std::uint64_t seed : kResumeSeeds) {
+    const ScopedResumeOrder order(seed);
+    const auto trace = yield_trace(kFibers, kSteps);
+    ASSERT_EQ(trace.size(), static_cast<std::size_t>(kFibers * kSteps));
+    for (int step = 0; step < kSteps; ++step) {
+      std::vector<int> seen;
+      for (int k = 0; k < kFibers; ++k) {
+        const auto& entry = trace[static_cast<std::size_t>(
+            step * kFibers + k)];
+        EXPECT_EQ(entry.second, step) << "seed " << seed;
+        seen.push_back(entry.first);
+      }
+      std::sort(seen.begin(), seen.end());
+      std::vector<int> all(kFibers);
+      std::iota(all.begin(), all.end(), 0);
+      EXPECT_EQ(seen, all) << "seed " << seed << " step " << step;
+    }
+    EXPECT_EQ(yield_trace(kFibers, kSteps), trace) << "seed " << seed;
+    some_order_differs = some_order_differs || trace != ascending;
+  }
+  EXPECT_TRUE(some_order_differs);
+  EXPECT_EQ(yield_trace(kFibers, kSteps), ascending);  // scope restored
+}
+
+TEST(FiberHost, SeededResumeOrderStillDiagnosesDeadlock) {
+  const ScopedResumeOrder order(kResumeSeeds[0]);
+  FiberHost host(3, 0);
+  int key = 0;
+  host.run([&](int i) {
+    if (i == 1) return;
+    FiberHost::current()->park(&key, "meeting");
+  });
+  for (int i : {0, 2}) {
+    const auto& e = host.errors()[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(e != nullptr) << "fiber " << i;
+    EXPECT_THROW(std::rethrow_exception(e), DeadlockError);
+  }
+  EXPECT_TRUE(host.errors()[1] == nullptr);
+}
+
+TEST(FiberHost, WaitOutsideAFiberThrows) {
+  std::mutex m;
+  std::unique_lock<std::mutex> lock(m);
+  EXPECT_THROW(detail::engine_wait_step(lock, "test"), std::logic_error);
+  EXPECT_TRUE(lock.owns_lock());
+}
+
+// --- The runtime on fibers, over the primitives ---
 
 TEST(ModeledEngine, CollectivesDeliverPayloads) {
-  Runtime rt(engine_config(5, Engine::kModeled));
+  Runtime rt(engine_config(5));
   rt.run([](Comm& world) {
     std::vector<double> buf(64, world.rank() == 1 ? 2.5 : 0.0);
     world.bcast(buf.data(), 64, 1);
@@ -267,7 +340,7 @@ TEST(ModeledEngine, CollectivesDeliverPayloads) {
 }
 
 TEST(ModeledEngine, PointToPointAndAsyncBcastWork) {
-  Runtime rt(engine_config(4, Engine::kModeled));
+  Runtime rt(engine_config(4));
   rt.run([](Comm& world) {
     // Ring send: r -> (r+1) % 4 with distinct tags, then an async bcast.
     const int next = (world.rank() + 1) % 4;
@@ -288,7 +361,7 @@ TEST(ModeledEngine, PointToPointAndAsyncBcastWork) {
 }
 
 TEST(ModeledEngine, SubgroupCollectivesWork) {
-  Runtime rt(engine_config(6, Engine::kModeled));
+  Runtime rt(engine_config(6));
   rt.run([](Comm& world) {
     const bool even = world.rank() % 2 == 0;
     const std::vector<int> members =
@@ -300,7 +373,7 @@ TEST(ModeledEngine, SubgroupCollectivesWork) {
 }
 
 TEST(ModeledEngine, AbortUnwindsAllRanks) {
-  Runtime rt(engine_config(4, Engine::kModeled));
+  Runtime rt(engine_config(4));
   EXPECT_THROW(rt.run([](Comm& world) {
                  if (world.rank() == 2) {
                    throw std::runtime_error("rank 2 exploded");
@@ -315,7 +388,7 @@ TEST(ModeledEngine, AbortWakesAFiberParkedInAMeeting) {
   // Rank 1 parks in the barrier during the first sweep; rank 0 throws on
   // the second. Only the abort's notify can resume rank 1 — without it the
   // host would report a deadlock instead of rank 0's error.
-  Runtime rt(engine_config(2, Engine::kModeled));
+  Runtime rt(engine_config(2));
   try {
     rt.run([](Comm& world) {
       if (world.rank() == 0) {
@@ -336,7 +409,7 @@ TEST(ModeledEngine, SkippedBroadcastRaisesDeadlockNamingBlockedRanks) {
   // Rank 3 skips a broadcast its three peers wait on: instead of spinning
   // forever the run fails with a typed error naming each blocked rank and
   // its wait site.
-  Runtime rt(engine_config(4, Engine::kModeled));
+  Runtime rt(engine_config(4));
   try {
     rt.run([](Comm& world) {
       double v = world.rank() == 0 ? 1.0 : 0.0;
@@ -352,7 +425,7 @@ TEST(ModeledEngine, SkippedBroadcastRaisesDeadlockNamingBlockedRanks) {
 }
 
 TEST(ModeledEngine, UnmatchedRecvRaisesDeadlock) {
-  Runtime rt(engine_config(2, Engine::kModeled));
+  Runtime rt(engine_config(2));
   try {
     rt.run([](Comm& world) {
       if (world.rank() == 1) {
@@ -369,14 +442,14 @@ TEST(ModeledEngine, UnmatchedRecvRaisesDeadlock) {
 }
 
 TEST(ModeledEngine, PoisonedAfterAbort) {
-  Runtime rt(engine_config(2, Engine::kModeled));
+  Runtime rt(engine_config(2));
   EXPECT_THROW(
       rt.run([](Comm&) { throw std::runtime_error("boom"); }),
       std::runtime_error);
   EXPECT_THROW(rt.run([](Comm&) {}), std::logic_error);
 }
 
-// --- Bit-identity against the thread engine ---
+// --- Bit-identity across resume orders ---
 
 struct RunOutcome {
   std::vector<double> clock_now;
@@ -384,9 +457,14 @@ struct RunOutcome {
   std::vector<double> payload;
 };
 
+/// Runs `body` on `config` with the fibers resumed in the order `seed`
+/// selects (0 = ascending).
 template <typename Body>
-RunOutcome run_with_engine(Engine engine, int nranks, const Body& body) {
-  Runtime rt(engine_config(nranks, engine));
+RunOutcome run_with_order(std::uint64_t seed, const Config& config,
+                          const Body& body) {
+  const ScopedResumeOrder order(seed);
+  const int nranks = config.nranks;
+  Runtime rt(config);
   RunOutcome out;
   out.payload.assign(static_cast<std::size_t>(nranks), 0.0);
   out.comm_time.assign(static_cast<std::size_t>(nranks), 0.0);
@@ -399,20 +477,26 @@ RunOutcome run_with_engine(Engine engine, int nranks, const Body& body) {
   return out;
 }
 
+/// The ascending sweep against every seed in kResumeSeeds.
 template <typename Body>
-void expect_engines_identical(int nranks, const Body& body) {
-  const RunOutcome thread = run_with_engine(Engine::kThread, nranks, body);
-  const RunOutcome modeled = run_with_engine(Engine::kModeled, nranks, body);
-  for (int r = 0; r < nranks; ++r) {
-    const auto i = static_cast<std::size_t>(r);
-    EXPECT_EQ(thread.clock_now[i], modeled.clock_now[i]) << "rank " << r;
-    EXPECT_EQ(thread.comm_time[i], modeled.comm_time[i]) << "rank " << r;
-    EXPECT_EQ(thread.payload[i], modeled.payload[i]) << "rank " << r;
+void expect_orders_identical(const Config& config, const Body& body) {
+  const RunOutcome ascending = run_with_order(0, config, body);
+  for (const std::uint64_t seed : kResumeSeeds) {
+    const RunOutcome shuffled = run_with_order(seed, config, body);
+    for (int r = 0; r < config.nranks; ++r) {
+      const auto i = static_cast<std::size_t>(r);
+      EXPECT_EQ(ascending.clock_now[i], shuffled.clock_now[i])
+          << "seed " << seed << " rank " << r;
+      EXPECT_EQ(ascending.comm_time[i], shuffled.comm_time[i])
+          << "seed " << seed << " rank " << r;
+      EXPECT_EQ(ascending.payload[i], shuffled.payload[i])
+          << "seed " << seed << " rank " << r;
+    }
   }
 }
 
 TEST(EngineEquivalence, MixedCollectiveScheduleIsBitIdentical) {
-  expect_engines_identical(8, [](Comm& world) {
+  expect_orders_identical(engine_config(8), [](Comm& world) {
     double comm = 0.0;
     double value = static_cast<double>(world.rank());
     for (int round = 0; round < 4; ++round) {
@@ -422,12 +506,20 @@ TEST(EngineEquivalence, MixedCollectiveScheduleIsBitIdentical) {
       value = world.allreduce_max(value - world.rank());
     }
     comm += world.allreduce_sum_buffer(&value, 1);
+    // Cancelling 1e16 terms beside small ones: the rounded sum depends on
+    // the summation order, so a sum taken in arrival order would differ
+    // between resume orders.
+    const int r = world.rank();
+    const double term = r % 2 == 1 ? 1.0 / r : r % 4 == 0 ? 1.0e16 : -1.0e16;
+    double buffer_sum = term;
+    comm += world.allreduce_sum_buffer(&buffer_sum, 1);
+    value += buffer_sum + 3.0 * world.allreduce_sum(term);
     return std::make_pair(value, comm);
   });
 }
 
 TEST(EngineEquivalence, AsyncOverlapScheduleIsBitIdentical) {
-  expect_engines_identical(6, [](Comm& world) {
+  expect_orders_identical(engine_config(6), [](Comm& world) {
     double comm = 0.0;
     std::vector<double> panel(128, world.rank() == 0 ? 1.5 : 0.0);
     Request b =
@@ -463,36 +555,16 @@ TEST(EngineEquivalence, MultiNodeSubgroupScheduleIsBitIdentical) {
     v = world.allreduce_sum(v);
     return std::make_pair(v, comm);
   };
-  Config base = engine_config(16, Engine::kThread);
-  base.node_of.assign(16, 0);
-  for (int r = 8; r < 16; ++r) base.node_of[static_cast<std::size_t>(r)] = 1;
-
-  RunOutcome outcomes[2];
-  for (int pass = 0; pass < 2; ++pass) {
-    Config config = base;
-    config.engine = pass == 0 ? Engine::kThread : Engine::kModeled;
-    Runtime rt(config);
-    RunOutcome& out = outcomes[pass];
-    out.payload.assign(16, 0.0);
-    out.comm_time.assign(16, 0.0);
-    rt.run([&](Comm& world) {
-      const auto result = body(world);
-      out.payload[static_cast<std::size_t>(world.rank())] = result.first;
-      out.comm_time[static_cast<std::size_t>(world.rank())] = result.second;
-    });
-    for (int r = 0; r < 16; ++r) out.clock_now.push_back(rt.clock(r).now());
-  }
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(outcomes[0].clock_now[i], outcomes[1].clock_now[i]);
-    EXPECT_EQ(outcomes[0].comm_time[i], outcomes[1].comm_time[i]);
-    EXPECT_EQ(outcomes[0].payload[i], outcomes[1].payload[i]);
-  }
+  Config config = engine_config(16);
+  config.node_of.assign(16, 0);
+  for (int r = 8; r < 16; ++r) config.node_of[static_cast<std::size_t>(r)] = 1;
+  expect_orders_identical(config, body);
 }
 
-// --- Faults under the modeled engine ---
+// --- Faults on fibers ---
 
 TEST(ModeledEngine, CrashShrinkRecoveryWorks) {
-  Config config = engine_config(4, Engine::kModeled);
+  Config config = engine_config(4);
   FaultEvent crash;
   crash.kind = FaultKind::kCrash;
   crash.rank = 1;
@@ -518,7 +590,7 @@ TEST(ModeledEngine, CrashShrinkRecoveryWorks) {
 // --- Scale smoke: thousands of fibers on one thread ---
 
 TEST(ModeledEngine, FiveHundredTwelveRanksComplete) {
-  Config config = engine_config(512, Engine::kModeled);
+  Config config = engine_config(512);
   config.fiber_stack_bytes = 128 * 1024;
   Runtime rt(config);
   double sum = -1.0;
