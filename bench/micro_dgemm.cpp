@@ -8,7 +8,10 @@
 // Per-tier entries: BM_GemmPackedTier<Scalar|Sse2|Avx2> are registered for
 // every SIMD tier available on this host, so one run covers the dispatch
 // table and the baseline gates each tier independently (a forced-scalar
-// host simply registers fewer entries).
+// host simply registers fewer entries). BM_GemmReference times the
+// verification reference's kernel with exactly its options
+// (core::kReferenceGemm: best tier, separate rounding), so the gate also
+// covers the kernel every numeric run_pmm verifies with.
 //
 //   --json FILE   also write results as Google-Benchmark JSON (the format
 //                 tools/compare_bench.py checks against BENCH_dgemm.json).
@@ -24,6 +27,7 @@
 
 #include "src/blas/gemm.hpp"
 #include "src/blas/simd.hpp"
+#include "src/core/reference.hpp"
 #include "src/pool/pool.hpp"
 #include "src/util/accounting.hpp"
 #include "src/util/matrix.hpp"
@@ -50,16 +54,11 @@ void set_alloc_counters(benchmark::State& state,
   state.counters["pool_hit_rate"] = d.pool_hit_rate();
 }
 
-void run_gemm(benchmark::State& state, GemmKernel kernel, int threads,
-              summagen::blas::SimdTier tier = summagen::blas::SimdTier::kAuto) {
+void run_gemm(benchmark::State& state, const GemmOptions& opts) {
   const std::int64_t n = state.range(0);
   summagen::util::Matrix a(n, n), b(n, n), c(n, n);
   summagen::util::fill_random(a, 1);
   summagen::util::fill_random(b, 2);
-  GemmOptions opts;
-  opts.kernel = kernel;
-  opts.threads = threads;
-  opts.tier = tier;
   // One untimed warm-up so the counters measure the pool's steady state,
   // not the first touch of this problem size's buffer classes.
   summagen::blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
@@ -117,16 +116,19 @@ void run_gemm_concurrent3(benchmark::State& state, GemmKernel kernel) {
 }
 
 void BM_GemmNaive(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kNaive, 1);
+  run_gemm(state, {.kernel = GemmKernel::kNaive, .threads = 1});
 }
 void BM_GemmBlocked(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kBlocked, 1);
+  run_gemm(state, {.kernel = GemmKernel::kBlocked, .threads = 1});
 }
 void BM_GemmThreaded(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kThreaded, 0);
+  run_gemm(state, {.kernel = GemmKernel::kThreaded});
 }
 void BM_GemmPacked(benchmark::State& state) {
-  run_gemm(state, GemmKernel::kPacked, 0);
+  run_gemm(state, {.kernel = GemmKernel::kPacked});
+}
+void BM_GemmReference(benchmark::State& state) {
+  run_gemm(state, summagen::core::kReferenceGemm);
 }
 void BM_GemmThreadedConcurrent3(benchmark::State& state) {
   run_gemm_concurrent3(state, GemmKernel::kThreaded);
@@ -153,7 +155,7 @@ void register_tier_benchmarks() {
     benchmark::RegisterBenchmark(
         entry.name,
         [tier](benchmark::State& state) {
-          run_gemm(state, GemmKernel::kPacked, 0, tier);
+          run_gemm(state, {.kernel = GemmKernel::kPacked, .tier = tier});
         })
         ->Arg(256)
         ->Arg(512)
@@ -167,6 +169,7 @@ BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 BENCHMARK(BM_GemmThreaded)->Arg(256)->Arg(512)->Arg(1024);
 BENCHMARK(BM_GemmPacked)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_GemmReference)->Arg(256)->Arg(512)->Arg(1024);
 // UseRealTime: the measuring thread only spawns/joins the callers, so CPU
 // time would be ~0 and the derived GFLOPs meaningless.
 BENCHMARK(BM_GemmThreadedConcurrent3)->Arg(512)->Arg(1024)

@@ -31,7 +31,7 @@ void usage() {
       "                     layered\n"
       "  --spec FILE        run a partition file instead of building a shape\n"
       "  --regime cpm|fpm   workload partitioning regime (default cpm)\n"
-      "  --speeds a,b,c     CPM speeds (default 1.0,2.0,0.9)\n"
+      "  --speeds a,b,c     CPM speeds (default 1.0,2.0,0.9; cpm only)\n"
       "  --numeric          really multiply and verify (n <= 8192)\n"
       "  --kernel NAME      numeric DGEMM kernel: packed (default) |\n"
       "                     threaded | blocked | naive\n"
@@ -71,7 +71,9 @@ void usage() {
       "  --gantt            print the schedule as a Gantt chart\n"
       "  --chrome-trace F   write the schedule as Chrome trace JSON\n"
       "  --render           print the partition layout\n"
-      "  --save-spec FILE   export the layout in the paper's notation\n";
+      "  --save-spec FILE   export the layout in the paper's notation\n"
+      "Flags the run does not use (misspelled, or e.g. --shape with --spec)\n"
+      "are refused with exit code 2.\n";
 }
 
 }  // namespace
@@ -99,8 +101,8 @@ int main(int argc, char** argv) {
       throw util::CliError("--scheduler: unknown scheduler '" + scheduler +
                            "' (expected eager | taskgraph)");
     }
-    // The flag parser ignores unknown names; refuse the retired alias so a
-    // window passed the old way is not silently replaced by the default.
+    // Refuse the retired alias with a pointer to its replacement
+    // (reject_unread below would only call it unknown).
     if (cli.has("window")) {
       throw util::CliError("--window: removed; use --overlap-depth");
     }
@@ -171,11 +173,13 @@ int main(int argc, char** argv) {
       }
     }
 
+    // Read before the branch: --n is documented as ignored with --spec.
+    const std::int64_t n = cli.get_int("n", 1024);
     if (cli.has("spec")) {
       config.preset_spec = partition::load_spec(cli.get("spec", ""));
       config.n = config.preset_spec.n;
     } else {
-      config.n = cli.get_int("n", 1024);
+      config.n = n;
       const std::string shape = cli.get("shape", "square_corner");
       bool found = false;
       for (partition::Shape s : partition::extended_shapes()) {
@@ -195,10 +199,20 @@ int main(int argc, char** argv) {
         config.cpm_speeds = cli.get_double_list("speeds", {1.0, 2.0, 0.9});
       }
     }
+    const bool render = cli.get_bool("render", false);
+    const bool gantt = cli.get_bool("gantt", false);
+    const bool chrome_trace = cli.has("chrome-trace");
+    const std::string chrome_trace_path = cli.get("chrome-trace", "");
+    const bool save_spec = cli.has("save-spec");
+    const std::string save_spec_path = cli.get("save-spec", "");
+    // Every flag this configuration uses has been read: refuse the rest
+    // (a misspelled or retired flag, --shape next to --spec, --speeds
+    // under --regime fpm).
+    cli.reject_unread();
 
     const auto res = core::run_pmm(config);
 
-    if (cli.get_bool("render", false)) {
+    if (render) {
       std::cout << res.spec.render(
                        std::max<std::int64_t>(1, config.n / 32))
                 << "\n";
@@ -292,19 +306,19 @@ int main(int argc, char** argv) {
       std::cout << "}\n";
     }
 
-    if (cli.get_bool("gantt", false)) {
+    if (gantt) {
       std::cout << "\n" << trace::render_gantt(res.events, res.exec_time_s);
     }
-    if (cli.has("chrome-trace")) {
-      std::ofstream out(cli.get("chrome-trace", ""));
+    if (chrome_trace) {
+      std::ofstream out(chrome_trace_path);
       if (!out) throw std::runtime_error("cannot open chrome-trace file");
       out << trace::export_chrome_trace(res.events);
-      std::cout << "\nschedule written to " << cli.get("chrome-trace", "")
+      std::cout << "\nschedule written to " << chrome_trace_path
                 << " (open in chrome://tracing)\n";
     }
-    if (cli.has("save-spec")) {
-      partition::save_spec(cli.get("save-spec", ""), res.spec);
-      std::cout << "\nlayout written to " << cli.get("save-spec", "") << "\n";
+    if (save_spec) {
+      partition::save_spec(save_spec_path, res.spec);
+      std::cout << "\nlayout written to " << save_spec_path << "\n";
     }
     return (config.numeric && !res.verified) ? 1 : 0;
   } catch (const util::CliError& e) {

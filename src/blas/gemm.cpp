@@ -84,18 +84,19 @@ void gemm_blocked_rows(std::int64_t row_begin, std::int64_t row_end,
 //           -> register-tiled MR x NR microkernel
 //
 // The microkernel (MR/NR shape and instruction set) is chosen at runtime
-// by CPUID among AVX2+FMA 6x8 / SSE2 4x4 / scalar 4x8 (src/blas/simd.hpp);
-// MC/NC/KC come from GemmOptions overrides, the persisted tune cache, or
-// per-tier defaults (src/blas/tune.hpp).
+// by CPUID tier and GemmOptions::rounding among AVX2 6x8 fused / AVX2 6x8
+// mul+add / SSE2 4x4 / scalar 4x8 (src/blas/simd.hpp); MC/NC/KC come from
+// GemmOptions overrides, the persisted tune cache, or per-tier defaults
+// (src/blas/tune.hpp).
 //
 // Bit-identity: every C element's value is the chain  beta*c, then
 // += (alpha*a[i][l]) * b[l][j] for l ascending — packing, blocking and the
 // band split change where operands live and which worker computes what,
 // never the per-element operation sequence (stores/loads of doubles
 // between k-blocks are exact). Hence any MC/NC/KC and any thread width
-// give the same bits for a given tier, the scalar tier reproduces the
-// pre-dispatch kPacked exactly, and only the AVX2 tier (fused
-// multiply-add, one rounding) differs across tiers.
+// give the same bits for a given kernel, every separate-rounding kernel
+// reproduces the pre-dispatch scalar kPacked exactly, and only the fused
+// AVX2 kernel (one rounding per multiply-add) differs.
 //
 // When GemmOptions::b_pack_key != 0 the packed-B blocks are leased from
 // the process-wide PackCache keyed by (key, jc, pc, NR), so SUMMA-family
@@ -142,27 +143,24 @@ void pack_b_panels(const double* b, std::int64_t ldb, std::int64_t col0,
   }
 }
 
-// One row band's share of one (jc, pc) block: pack the band's A rows, then
-// sweep quads x panels of microkernels over C[band, col0:col0+ncols]. Runs
-// as a pool task; the A scratch is leased from the shared buffer pool per
-// band (steady state: a freelist pop).
+// One row band's share of one (jc, pc) block: pack the band's A rows into
+// its slice `pa` of the call's packed-A buffer, then sweep quads x panels
+// of microkernels over C[band, col0:col0+ncols]. Runs as a pool task.
 void packed_band(const double* a, std::int64_t lda, double alpha,
                  std::int64_t row_begin, std::int64_t row_end,
-                 std::int64_t l0, std::int64_t kc, const double* pb,
-                 std::int64_t col0, std::int64_t ncols, bool first_block,
-                 double beta, double* c, std::int64_t ldc,
+                 std::int64_t l0, std::int64_t kc, double* pa,
+                 const double* pb, std::int64_t col0, std::int64_t ncols,
+                 bool first_block, double beta, double* c, std::int64_t ldc,
                  const detail::MicroKernel& mk) {
   const std::int64_t quads = (row_end - row_begin + mk.mr - 1) / mk.mr;
-  util::PooledBuffer pa =
-      util::BufferPool::instance().acquire(quads * kc * mk.mr);
-  pack_a_band(a, lda, alpha, row_begin, row_end, l0, kc, mk.mr, pa.data());
+  pack_a_band(a, lda, alpha, row_begin, row_end, l0, kc, mk.mr, pa);
   const std::int64_t panels = (ncols + mk.nr - 1) / mk.nr;
   for (std::int64_t q = 0; q < quads; ++q) {
     const std::int64_t i = row_begin + q * mk.mr;
     const std::int64_t rows = std::min(mk.mr, row_end - i);
     for (std::int64_t p = 0; p < panels; ++p) {
       const std::int64_t j = p * mk.nr;
-      mk.fn(pa.data() + q * kc * mk.mr, pb + p * kc * mk.nr, kc, rows,
+      mk.fn(pa + q * kc * mk.mr, pb + p * kc * mk.nr, kc, rows,
             std::min(mk.nr, ncols - j), first_block, beta,
             c + i * ldc + col0 + j, ldc);
     }
@@ -184,6 +182,13 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       width <= 1 ? mc_quads
                  : std::min(mc_quads, std::max<std::int64_t>(
                                           1, (quads + width - 1) / width));
+  // Packed alpha*A for one (jc, pc) block: one band at a time when serial,
+  // else every band in its own quad range. The caller leases it once per
+  // call, so how many workers happen to run bands at once never changes
+  // what the buffer pool allocates.
+  util::PooledBuffer pa = util::BufferPool::instance().acquire(
+      (width <= 1 ? std::min(quads, band_quads) : quads) *
+      std::min(bs.kc, k) * mk.mr);
   for (std::int64_t jc = 0; jc < n; jc += bs.nc) {
     const std::int64_t nc = std::min(bs.nc, n - jc);
     const std::int64_t panels = (nc + mk.nr - 1) / mk.nr;
@@ -225,7 +230,7 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
           const std::int64_t r0 = q0 * mk.mr;
           const std::int64_t r1 =
               std::min(m, (q0 + band_quads) * mk.mr);
-          packed_band(a, lda, alpha, r0, r1, l0, kc, pb, jc, nc,
+          packed_band(a, lda, alpha, r0, r1, l0, kc, pa.data(), pb, jc, nc,
                       first_block, beta, c, ldc, mk);
         }
         continue;
@@ -234,8 +239,9 @@ void gemm_packed(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
       for (std::int64_t q0 = 0; q0 < quads; q0 += band_quads) {
         const std::int64_t r0 = q0 * mk.mr;
         const std::int64_t r1 = std::min(m, (q0 + band_quads) * mk.mr);
+        double* band_pa = pa.data() + q0 * kc * mk.mr;
         group.run([=, &mk] {
-          packed_band(a, lda, alpha, r0, r1, l0, kc, pb, jc, nc,
+          packed_band(a, lda, alpha, r0, r1, l0, kc, band_pa, pb, jc, nc,
                       first_block, beta, c, ldc, mk);
         });
       }
@@ -352,7 +358,8 @@ void dgemm(std::int64_t m, std::int64_t n, std::int64_t k, double alpha,
     }
     case GemmKernel::kPacked: {
       const SimdTier tier = resolve_simd_tier(opts.tier);
-      const detail::MicroKernel mk = detail::microkernel_for(tier);
+      const detail::MicroKernel mk =
+          detail::microkernel_for(tier, opts.rounding);
       const BlockSizes bs = resolve_block_sizes(opts, tier);
       const int want = resolve_gemm_threads(opts.threads);
       const int width = static_cast<int>(

@@ -5,21 +5,22 @@
 // multiplies a (height x n) slice of WA by an (n x width) slice of WB, so
 // everything here takes explicit leading dimensions.
 //
-// Four implementations, bit-identical in result (the parallel split and
-// the packed layout preserve the per-element l-ascending accumulation
-// chain of the ikj kernel):
+// Four implementations; the parallel split and the packed layout
+// preserve the per-element l-ascending accumulation chain of the ikj
+// kernel, so only the rounding class of each step decides the bits:
 //  * kNaive   - triple loop, the oracle used in tests;
 //  * kBlocked - cache-blocked ikj kernel, serial;
 //  * kThreaded- kBlocked with row bands run on the shared sgpool executor;
 //  * kPacked  - five-loop BLIS blocking (NC -> KC -> MC -> NR -> MR) over
 //               contiguous alpha*A quads and B column-panels, with the
-//               microkernel selected at runtime by CPUID among AVX2+FMA /
-//               SSE2 / scalar tiers (src/blas/simd.hpp), row bands on the
+//               microkernel selected at runtime by CPUID tier and by
+//               rounding class (src/blas/simd.hpp), row bands on the
 //               shared pool (default; see DESIGN.md §5.11).
 //
-// kNaive/kBlocked/kThreaded and the scalar/SSE2 tiers of kPacked are
-// bit-identical to each other; the AVX2 tier fuses multiply-add (one
-// rounding) and is bit-identical only per tier.
+// Separate rounding (mul, then add) is bit-identical everywhere it runs:
+// kNaive, kBlocked, kThreaded and every kPacked kernel of that class,
+// whatever the tier. Fused rounding (the default kAvx2 kernel, one
+// rounding per multiply-add) is bit-identical only to itself.
 //
 // No kernel ever constructs a std::thread: all parallelism is task
 // submission into the persistent process-wide pool (sgpool::Pool), which
@@ -72,6 +73,11 @@ struct GemmOptions {
   /// CPU supports (capped to scalar by SUMMAGEN_FORCE_SCALAR); an explicit
   /// unavailable tier throws std::invalid_argument.
   SimdTier tier = SimdTier::kAuto;
+  /// Rounding class of the kPacked microkernel. kNative (default) runs the
+  /// tier's fastest kernel (fused multiply-add on kAvx2); kSeparate runs
+  /// the tier's mul-then-add kernel, whose bits equal kScalar's (and
+  /// kBlocked's) at any tier — the verification reference sets it.
+  Rounding rounding = Rounding::kNative;
   /// Cache-blocking overrides for the five-loop scheme; 0 (default) = auto
   /// (the persisted tune cache for this CPU, else per-tier defaults — see
   /// src/blas/tune.hpp). Block sizes never change numeric results.

@@ -1,17 +1,20 @@
-// AVX2+FMA 6x8 microkernel — the BLIS Haswell 8x6 register block
+// AVX2+FMA 6x8 microkernels — the BLIS Haswell 8x6 register block
 // transposed to row-major storage: 6 packed-A rows broadcast against two
 // 4-wide packed-B vectors, 12 ymm accumulators + 2 B vectors + 1 broadcast
-// = 15 of 16 architectural registers.
+// = 15 of 16 architectural registers. Both rounding classes of
+// tile_kernel.hpp are instantiated here:
+//   micro_kernel_avx2_6x8        fused (FMA, one rounding per step) — the
+//                                kAvx2 tier's default kernel;
+//   micro_kernel_avx2_6x8_sep    mul then add, each rounded — bitwise
+//                                equal to the scalar tier, used when
+//                                GemmOptions::rounding asks for kSeparate.
 //
 // This TU is compiled with -mavx2 -mfma (CMake probes the flags and only
-// adds the file when they are accepted); the entry point must only be
+// adds the file when they are accepted); the entry points must only be
 // reached after __builtin_cpu_supports confirms AVX2+FMA, which
-// simd_tier_available / resolve_simd_tier guarantee.
-//
-// FMA fuses multiply and add into one rounding, so this tier's results
-// legitimately differ in low-order bits from the scalar/SSE2 tiers — but
-// the per-element l-ascending chain is preserved, so the tier is
-// deterministic and bit-identical run-to-run for any MC/NC/KC blocking.
+// simd_tier_available / resolve_simd_tier guarantee. The project-wide
+// -ffp-contract=off keeps the separate kernel's _mm256_mul_pd +
+// _mm256_add_pd from being fused into an FMA under -mfma.
 
 #include "src/blas/microkernel.hpp"
 
@@ -19,80 +22,42 @@
 
 #include <immintrin.h>
 
+#include "src/blas/tile_kernel.hpp"
+
 namespace summagen::blas::detail {
+namespace {
+
+struct Avx2 {
+  using Vec = __m256d;
+  static constexpr int kWidth = 4;
+  static Vec zero() { return _mm256_setzero_pd(); }
+  static Vec set1(double x) { return _mm256_set1_pd(x); }
+  static Vec broadcast(const double* p) { return _mm256_broadcast_sd(p); }
+  static Vec load(const double* p) { return _mm256_load_pd(p); }
+  static Vec loadu(const double* p) { return _mm256_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm256_store_pd(p, v); }
+  static void storeu(double* p, Vec v) { _mm256_storeu_pd(p, v); }
+  static Vec mul(Vec a, Vec b) { return _mm256_mul_pd(a, b); }
+  static Vec add(Vec a, Vec b) { return _mm256_add_pd(a, b); }
+  static Vec fmadd(Vec a, Vec b, Vec c) { return _mm256_fmadd_pd(a, b, c); }
+};
+
+}  // namespace
 
 void micro_kernel_avx2_6x8(const double* pa_quad, const double* pb_panel,
                            std::int64_t kc, std::int64_t rows,
                            std::int64_t cols, bool first_block, double beta,
                            double* c, std::int64_t ldc) {
-  constexpr std::int64_t kMr = 6;
-  constexpr std::int64_t kNr = 8;
-  __m256d acc0[kMr];  // columns 0..3 of each row
-  __m256d acc1[kMr];  // columns 4..7
-  alignas(32) double tile[kMr * kNr];
-  const bool full = rows == kMr && cols == kNr;
-  if (first_block && beta == 0.0) {
-    for (int r = 0; r < kMr; ++r) {
-      acc0[r] = _mm256_setzero_pd();
-      acc1[r] = _mm256_setzero_pd();
-    }
-  } else if (full) {
-    // beta*cur is exact for beta == 1, so no special case for the common
-    // accumulate call.
-    const __m256d bv = _mm256_set1_pd(beta);
-    for (int r = 0; r < kMr; ++r) {
-      const __m256d lo = _mm256_loadu_pd(c + r * ldc);
-      const __m256d hi = _mm256_loadu_pd(c + r * ldc + 4);
-      acc0[r] = first_block ? _mm256_mul_pd(bv, lo) : lo;
-      acc1[r] = first_block ? _mm256_mul_pd(bv, hi) : hi;
-    }
-  } else {
-    // Fringe: stage valid C into an aligned tile (zeros elsewhere) and run
-    // the full-tile loop — packed operands are zero-padded, so padding
-    // lanes never contribute to a valid element.
-    for (int r = 0; r < kMr; ++r) {
-      for (int cix = 0; cix < kNr; ++cix) {
-        double v = 0.0;
-        if (r < rows && cix < cols) {
-          const double cur = c[r * ldc + cix];
-          v = first_block ? beta * cur : cur;
-        }
-        tile[r * kNr + cix] = v;
-      }
-    }
-    for (int r = 0; r < kMr; ++r) {
-      acc0[r] = _mm256_load_pd(tile + r * kNr);
-      acc1[r] = _mm256_load_pd(tile + r * kNr + 4);
-    }
-  }
+  tile_kernel<Avx2, 6, RoundingClass::kFused>(pa_quad, pb_panel, kc, rows,
+                                              cols, first_block, beta, c, ldc);
+}
 
-  for (std::int64_t l = 0; l < kc; ++l) {
-    const double* pa_l = pa_quad + l * kMr;
-    const __m256d b0 = _mm256_loadu_pd(pb_panel + l * kNr);
-    const __m256d b1 = _mm256_loadu_pd(pb_panel + l * kNr + 4);
-    for (int r = 0; r < kMr; ++r) {
-      const __m256d av = _mm256_broadcast_sd(pa_l + r);
-      acc0[r] = _mm256_fmadd_pd(av, b0, acc0[r]);
-      acc1[r] = _mm256_fmadd_pd(av, b1, acc1[r]);
-    }
-  }
-
-  if (full) {
-    for (int r = 0; r < kMr; ++r) {
-      _mm256_storeu_pd(c + r * ldc, acc0[r]);
-      _mm256_storeu_pd(c + r * ldc + 4, acc1[r]);
-    }
-  } else {
-    for (int r = 0; r < kMr; ++r) {
-      _mm256_store_pd(tile + r * kNr, acc0[r]);
-      _mm256_store_pd(tile + r * kNr + 4, acc1[r]);
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t cix = 0; cix < cols; ++cix) {
-        c[r * ldc + cix] = tile[r * kNr + cix];
-      }
-    }
-  }
+void micro_kernel_avx2_6x8_sep(const double* pa_quad, const double* pb_panel,
+                               std::int64_t kc, std::int64_t rows,
+                               std::int64_t cols, bool first_block,
+                               double beta, double* c, std::int64_t ldc) {
+  tile_kernel<Avx2, 6, RoundingClass::kSeparate>(
+      pa_quad, pb_panel, kc, rows, cols, first_block, beta, c, ldc);
 }
 
 }  // namespace summagen::blas::detail

@@ -1,10 +1,10 @@
 // SSE2 4x4 microkernel (baseline x86-64 ISA, no extra target flags needed;
-// kept in its own TU for symmetry with the AVX2 tier and so CMake can pin
-// -ffp-contract=off on it).
+// kept in its own TU for symmetry with the AVX2 tier).
 //
-// Uses separately rounded mulpd + addpd, i.e. exactly the scalar tier's
-// per-element operation sequence in two-lane batches — the SSE2 tier is
-// bitwise equal to the scalar tier (asserted by tests/blas/gemm_tail_test).
+// The separate-rounding instantiation of tile_kernel.hpp: mulpd then
+// addpd, i.e. exactly the scalar tier's per-element operation sequence in
+// two-lane batches — the SSE2 tier is bitwise equal to the scalar tier
+// (asserted by tests/blas/gemm_tail_test and kernel_oracle_test).
 
 #include "src/blas/microkernel.hpp"
 
@@ -12,80 +12,33 @@
 
 #include <emmintrin.h>
 
+#include "src/blas/tile_kernel.hpp"
+
 namespace summagen::blas::detail {
+namespace {
+
+struct Sse2 {
+  using Vec = __m128d;
+  static constexpr int kWidth = 2;
+  static Vec zero() { return _mm_setzero_pd(); }
+  static Vec set1(double x) { return _mm_set1_pd(x); }
+  static Vec broadcast(const double* p) { return _mm_load1_pd(p); }
+  static Vec load(const double* p) { return _mm_load_pd(p); }
+  static Vec loadu(const double* p) { return _mm_loadu_pd(p); }
+  static void store(double* p, Vec v) { _mm_store_pd(p, v); }
+  static void storeu(double* p, Vec v) { _mm_storeu_pd(p, v); }
+  static Vec mul(Vec a, Vec b) { return _mm_mul_pd(a, b); }
+  static Vec add(Vec a, Vec b) { return _mm_add_pd(a, b); }
+};
+
+}  // namespace
 
 void micro_kernel_sse2_4x4(const double* pa_quad, const double* pb_panel,
                            std::int64_t kc, std::int64_t rows,
                            std::int64_t cols, bool first_block, double beta,
                            double* c, std::int64_t ldc) {
-  constexpr std::int64_t kMr = 4;
-  constexpr std::int64_t kNr = 4;
-  __m128d acc[kMr][2];
-  alignas(16) double tile[kMr * kNr];
-  const bool full = rows == kMr && cols == kNr;
-  if (first_block && beta == 0.0) {
-    for (int r = 0; r < kMr; ++r) {
-      acc[r][0] = _mm_setzero_pd();
-      acc[r][1] = _mm_setzero_pd();
-    }
-  } else if (full) {
-    // beta*cur is exact for beta == 1 (1.0*x == x bitwise, NaN included),
-    // so the first-block multiply needs no special case.
-    const __m128d bv = _mm_set1_pd(beta);
-    for (int r = 0; r < kMr; ++r) {
-      __m128d lo = _mm_loadu_pd(c + r * ldc);
-      __m128d hi = _mm_loadu_pd(c + r * ldc + 2);
-      acc[r][0] = first_block ? _mm_mul_pd(bv, lo) : lo;
-      acc[r][1] = first_block ? _mm_mul_pd(bv, hi) : hi;
-    }
-  } else {
-    // Fringe tile: stage the valid C region (zeros elsewhere) and run the
-    // same vector loop — the packed operands are zero-padded, so padding
-    // lanes accumulate only zeros and the valid lanes see the identical
-    // operation sequence as a full tile.
-    for (int r = 0; r < kMr; ++r) {
-      for (int cix = 0; cix < kNr; ++cix) {
-        double v = 0.0;
-        if (r < rows && cix < cols) {
-          const double cur = c[r * ldc + cix];
-          v = first_block ? beta * cur : cur;
-        }
-        tile[r * kNr + cix] = v;
-      }
-    }
-    for (int r = 0; r < kMr; ++r) {
-      acc[r][0] = _mm_load_pd(tile + r * kNr);
-      acc[r][1] = _mm_load_pd(tile + r * kNr + 2);
-    }
-  }
-
-  for (std::int64_t l = 0; l < kc; ++l) {
-    const double* pa_l = pa_quad + l * kMr;
-    const __m128d b0 = _mm_loadu_pd(pb_panel + l * kNr);
-    const __m128d b1 = _mm_loadu_pd(pb_panel + l * kNr + 2);
-    for (int r = 0; r < kMr; ++r) {
-      const __m128d av = _mm_set1_pd(pa_l[r]);
-      acc[r][0] = _mm_add_pd(acc[r][0], _mm_mul_pd(av, b0));
-      acc[r][1] = _mm_add_pd(acc[r][1], _mm_mul_pd(av, b1));
-    }
-  }
-
-  if (full) {
-    for (int r = 0; r < kMr; ++r) {
-      _mm_storeu_pd(c + r * ldc, acc[r][0]);
-      _mm_storeu_pd(c + r * ldc + 2, acc[r][1]);
-    }
-  } else {
-    for (int r = 0; r < kMr; ++r) {
-      _mm_store_pd(tile + r * kNr, acc[r][0]);
-      _mm_store_pd(tile + r * kNr + 2, acc[r][1]);
-    }
-    for (std::int64_t r = 0; r < rows; ++r) {
-      for (std::int64_t cix = 0; cix < cols; ++cix) {
-        c[r * ldc + cix] = tile[r * kNr + cix];
-      }
-    }
-  }
+  tile_kernel<Sse2, 4, RoundingClass::kSeparate>(
+      pa_quad, pb_panel, kc, rows, cols, first_block, beta, c, ldc);
 }
 
 }  // namespace summagen::blas::detail

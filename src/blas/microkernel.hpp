@@ -33,13 +33,18 @@ struct MicroKernel {
   const char* name = "";
 };
 
-/// Registers (MR/NR shape + entry point) per concrete tier. `tier` must be
-/// a resolved, available tier (see resolve_simd_tier).
-MicroKernel microkernel_for(SimdTier tier);
+/// Registry (MR/NR shape + entry point) per concrete tier and rounding
+/// class. `tier` must be a resolved, available tier (see
+/// resolve_simd_tier). Rounding::kSeparate only changes the kAvx2 entry
+/// (to its mul+add instantiation); the other tiers already round
+/// separately.
+MicroKernel microkernel_for(SimdTier tier,
+                            Rounding rounding = Rounding::kNative);
 
 // Per-TU entry points. The scalar kernel is the pre-dispatch kPacked
-// microkernel verbatim; the SIMD ones live in translation units compiled
-// with the matching target flags and exist only when CMake enabled them.
+// microkernel verbatim; the SIMD ones instantiate tile_kernel.hpp in
+// translation units compiled with the matching target flags and exist only
+// when CMake enabled them.
 void micro_kernel_scalar_4x8(const double* pa_quad, const double* pb_panel,
                              std::int64_t kc, std::int64_t rows,
                              std::int64_t cols, bool first_block, double beta,
@@ -55,6 +60,10 @@ void micro_kernel_avx2_6x8(const double* pa_quad, const double* pb_panel,
                            std::int64_t kc, std::int64_t rows,
                            std::int64_t cols, bool first_block, double beta,
                            double* c, std::int64_t ldc);
+void micro_kernel_avx2_6x8_sep(const double* pa_quad, const double* pb_panel,
+                               std::int64_t kc, std::int64_t rows,
+                               std::int64_t cols, bool first_block,
+                               double beta, double* c, std::int64_t ldc);
 #endif
 
 }  // namespace summagen::blas::detail

@@ -105,10 +105,13 @@ SimdTier parse_simd_tier(const std::string& name) {
 
 namespace detail {
 
-MicroKernel microkernel_for(SimdTier tier) {
+MicroKernel microkernel_for(SimdTier tier, Rounding rounding) {
   switch (tier) {
 #ifdef SUMMAGEN_HAVE_AVX2_KERNEL
     case SimdTier::kAvx2:
+      if (rounding == Rounding::kSeparate) {
+        return {6, 8, &micro_kernel_avx2_6x8_sep, "avx2_6x8_sep"};
+      }
       return {6, 8, &micro_kernel_avx2_6x8, "avx2_6x8"};
 #endif
 #ifdef SUMMAGEN_HAVE_SSE2_KERNEL

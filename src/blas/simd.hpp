@@ -3,17 +3,23 @@
 // The paper's AbsCPU owes its speed to a vendor DGEMM (MKL); our substrate
 // gets there with BLIS-style microkernels selected at runtime by CPUID:
 //
-//   tier      microkernel      requires            result identity
-//   kAvx2     6x8, FMA         AVX2 + FMA          bit-identical per tier
-//   kSse2     4x4, mul+add     SSE2 (any x86-64)   bit-identical to kScalar
-//   kScalar   4x8, mul+add     nothing             bit-identical to the
-//                                                  pre-dispatch kPacked
+//   tier      microkernel                 requires            rounding
+//   kAvx2     6x8 tile_kernel, fused      AVX2 + FMA          fused
+//             6x8 tile_kernel, mul+add                        separate
+//   kSse2     4x4 tile_kernel, mul+add    SSE2 (any x86-64)   separate
+//   kScalar   4x8 portable loop           nothing             separate
 //
-// All tiers preserve the per-C-element l-ascending accumulation chain, so
-// each tier is deterministic and run-to-run bit-identical; kSse2 performs
-// the same round-to-nearest multiply and add per element as kScalar and is
-// therefore bitwise equal to it, while kAvx2 fuses them (FMA: one rounding)
-// and legitimately differs in low-order bits.
+// What fixes a result's bits is the rounding class, not the kernel: every
+// kernel preserves the per-C-element l-ascending accumulation chain, and
+// a separate-rounding kernel performs per element exactly the scalar
+// kernel's round-to-nearest multiply then add, so all separate kernels
+// are bitwise equal to each other (and to kNaive/kBlocked) at any vector
+// width, tile shape, blocking or thread count. The fused kernel rounds
+// once per step and legitimately differs in low-order bits, but is
+// deterministic and run-to-run bit-identical too. GemmOptions::rounding
+// picks the class: kNative (default) takes each tier's fastest kernel
+// (fused on kAvx2), kSeparate asks for the separate kernel of the tier —
+// the verifier's choice, so it runs at AVX2 width with kScalar's bits.
 //
 // The SIMD tiers only exist on x86-64 and only when the compiler accepts
 // the target flags (CMake probes; non-x86 builds fall back to kScalar).
@@ -28,6 +34,12 @@ namespace summagen::blas {
 
 /// Dispatch tier of the packed kernel. Order is ascending capability.
 enum class SimdTier { kScalar = 0, kSse2 = 1, kAvx2 = 2, kAuto = 3 };
+
+/// Rounding class a packed-kernel call asks for (see the table above).
+enum class Rounding {
+  kNative = 0,    ///< the tier's fastest kernel: fused on kAvx2 (default)
+  kSeparate = 1,  ///< mul then add, each rounded: kScalar's bits on any tier
+};
 
 /// True when the tier's translation unit was compiled into the library
 /// (kScalar always; the SIMD tiers only on x86-64 with flag support).

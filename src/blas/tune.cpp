@@ -10,6 +10,7 @@
 
 #include "src/blas/fastmm.hpp"
 #include "src/blas/gemm.hpp"
+#include "src/blas/microkernel.hpp"
 #include "src/util/matrix.hpp"
 #include "src/util/rng.hpp"
 
@@ -332,7 +333,7 @@ std::vector<TuneResult> autotune_block_sizes(
   std::vector<TuneResult> winners;
   for (SimdTier tier : tiers) {
     if (tier == SimdTier::kAuto || !simd_tier_available(tier)) continue;
-    const std::int64_t mr = tier == SimdTier::kAvx2 ? 6 : 4;
+    const std::int64_t mr = detail::microkernel_for(tier).mr;
     TuneResult best;
     best.tier = tier;
     for (std::int64_t mc : {8 * mr, 16 * mr, 32 * mr}) {

@@ -10,14 +10,6 @@
 
 namespace summagen::core {
 
-namespace {
-
-/// The one reference kernel (see reference.hpp).
-constexpr blas::GemmOptions kReferenceGemm{.kernel = blas::GemmKernel::kPacked,
-                                           .tier = blas::SimdTier::kScalar};
-
-}  // namespace
-
 util::Matrix reference_multiply(const util::Matrix& a, const util::Matrix& b) {
   return blas::multiply(a, b, kReferenceGemm);
 }

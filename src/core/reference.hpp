@@ -1,11 +1,13 @@
 // Reference product for verification.
 //
-// The reference is the packed kernel pinned to its scalar tier, run on
-// the shared pool at its current width. That tier keeps the per-element
-// l-ascending accumulation chain of the ikj kernel — one separately
-// rounded multiply and add per l, starting from zero — so every element of
-// the reference is bit-identical to kNaive/kBlocked, whatever the row-band
-// split, block sizes or pool width a call runs with.
+// The reference is the packed kernel at the best available SIMD tier
+// with separate rounding (blas::Rounding::kSeparate), run on the shared
+// pool at its current width. Every separate-rounding kernel keeps the
+// per-element l-ascending accumulation chain of the ikj kernel — one
+// separately rounded multiply and add per l, starting from zero — so
+// every element of the reference is bit-identical to kScalar, kNaive and
+// kBlocked, whatever the tier, row-band split, block sizes or pool width a
+// call runs with (SUMMAGEN_FORCE_SCALAR=1 only makes it slower).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +16,13 @@
 #include "src/util/matrix.hpp"
 
 namespace summagen::core {
+
+/// The one reference kernel: every reference product runs with exactly
+/// these options (micro_dgemm's BM_GemmReference times them too).
+inline constexpr blas::GemmOptions kReferenceGemm{
+    .kernel = blas::GemmKernel::kPacked,
+    .tier = blas::SimdTier::kAuto,
+    .rounding = blas::Rounding::kSeparate};
 
 /// Rows of the reference product reference_max_abs_error forms at a time.
 inline constexpr std::int64_t kReferenceBandRows = 256;

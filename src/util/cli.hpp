@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -21,7 +22,10 @@ class CliError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Parsed command-line flags with typed, defaulted accessors.
+/// Parsed command-line flags with typed, defaulted accessors. Every
+/// accessor (has included) records the flag name as read, so a binary
+/// that has read all the flags it understands can refuse the rest with
+/// reject_unread() instead of silently ignoring a misspelled flag.
 class Cli {
  public:
   /// Parses argv; throws std::invalid_argument on malformed flags
@@ -49,8 +53,17 @@ class Cli {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
+  /// Throws CliError naming the first flag (in command-line order) that no
+  /// accessor has read. Call it after every flag the binary accepts,
+  /// conditional ones included, has been read.
+  void reject_unread() const;
+
  private:
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> flags_;
+  std::vector<std::string> order_;  // flag names, first occurrence order
+  mutable std::set<std::string> read_;
   std::vector<std::string> positional_;
 };
 

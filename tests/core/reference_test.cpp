@@ -1,9 +1,10 @@
-// The verification reference: one kernel (kPacked at the scalar tier),
-// bit-identical to the naive and blocked kernels, and a streamed check that
-// returns exactly the error a whole reference product would give — at any
-// band remainder and any pool width.
+// The verification reference: one kernel (kPacked, best tier, separate
+// rounding), bit-identical to the scalar, naive and blocked kernels, and a
+// streamed check that returns exactly the error a whole reference product
+// would give — at any band remainder and any pool width.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -93,6 +94,36 @@ TEST(Reference, StreamedErrorEqualsWholeBlockedComparison) {
             util::Matrix::max_abs_diff(candidates[i], blocked);
         EXPECT_EQ(reference_max_abs_error(ops.a, ops.b, candidates[i]), want)
             << "n=" << n << " workers=" << workers << " candidate " << i;
+      }
+    }
+  }
+}
+
+// Bit oracle for the verdict: the streamed error equals, bit for bit and
+// NaN included, an explicit portable-scalar-tier product followed by
+// max_abs_diff — whichever tier the reference kernel dispatches to.
+TEST(Reference, StreamedErrorBitsEqualExplicitScalarComparison) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::int64_t n : {1, 255, 257, 600}) {
+    Operands ops = random_operands(n, 90 + static_cast<std::uint64_t>(n));
+    for (bool nan_in_a : {false, true}) {
+      if (nan_in_a) ops.a(n - 1, 0) = nan;
+      const util::Matrix scalar = blas::multiply(
+          ops.a, ops.b,
+          {.kernel = blas::GemmKernel::kPacked,
+           .tier = blas::SimdTier::kScalar});
+      const util::Matrix fast = blas::multiply(ops.a, ops.b);
+      std::vector<util::Matrix> candidates{fast, fast, fast};
+      candidates[1](0, 0) = nan;
+      candidates[2](n / 2, n - 1) = -inf;
+      for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const double want = util::Matrix::max_abs_diff(candidates[i], scalar);
+        const double got = reference_max_abs_error(ops.a, ops.b, candidates[i]);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "n=" << n << " nan_in_a=" << nan_in_a << " candidate " << i
+            << ": " << got << " vs " << want;
       }
     }
   }

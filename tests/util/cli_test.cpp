@@ -113,5 +113,49 @@ TEST(Cli, GetIntMinRejectsMalformedValues) {
   EXPECT_THROW(cli.get_int_min("kernel-threads", 0, 0), CliError);
 }
 
+TEST(Cli, RejectUnreadPassesWhenEveryFlagWasRead) {
+  const auto cli = make({"--n", "8", "--csv", "--shape=layered", "pos"});
+  EXPECT_EQ(cli.get_int("n", 0), 8);
+  EXPECT_TRUE(cli.get_bool("csv", false));
+  EXPECT_TRUE(cli.has("shape"));  // has() counts as a read
+  EXPECT_NO_THROW(cli.reject_unread());
+  EXPECT_NO_THROW(make({}).reject_unread());
+}
+
+TEST(Cli, RejectUnreadNamesFirstUnreadFlagInCommandLineOrder) {
+  const auto cli = make({"--zeta", "1", "--n", "8", "--enginee=x", "--alpha"});
+  EXPECT_EQ(cli.get_int("n", 0), 8);
+  try {
+    cli.reject_unread();
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("--zeta: unknown flag", 0), 0u)
+        << e.what();
+  }
+  cli.get("zeta", "");
+  try {
+    cli.reject_unread();
+    FAIL() << "expected CliError";
+  } catch (const CliError& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("--enginee: unknown flag", 0), 0u)
+        << e.what();
+  }
+  cli.get("enginee", "");
+  EXPECT_THROW(cli.reject_unread(), CliError);  // --alpha still unread
+  cli.get_bool("alpha", false);
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
+TEST(Cli, ReadingAnAbsentFlagDoesNotHideAnotherOne) {
+  // Every typed accessor marks only the name it was asked for.
+  const auto cli = make({"--sizes", "1,2", "--speeds", "1.5", "--x", "2.5"});
+  EXPECT_EQ(cli.get_int_list("sizes", {}), (std::vector<std::int64_t>{1, 2}));
+  EXPECT_EQ(cli.get_double_list("speeds", {}), std::vector<double>{1.5});
+  EXPECT_EQ(cli.get_int_min("absent", 3, 0), 3);
+  EXPECT_THROW(cli.reject_unread(), CliError);
+  EXPECT_EQ(cli.get_double("x", 0.0), 2.5);
+  EXPECT_NO_THROW(cli.reject_unread());
+}
+
 }  // namespace
 }  // namespace summagen::util

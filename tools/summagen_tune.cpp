@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
     const std::string out =
         cli.get("out", summagen::blas::tune_cache_path());
     const bool dry_run = cli.get_bool("dry-run", false);
+    cli.reject_unread();
 
     const std::string cpu = summagen::blas::cpu_model_key();
     std::cout << "cpu: " << cpu << "\n"
