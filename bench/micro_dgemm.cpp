@@ -11,7 +11,9 @@
 // host simply registers fewer entries). BM_GemmReference times the
 // verification reference's kernel with exactly its options
 // (core::kReferenceGemm: best tier, separate rounding), so the gate also
-// covers the kernel every numeric run_pmm verifies with.
+// covers the kernel every numeric run_pmm verifies with. BM_ReferenceCheck
+// times the whole check run_pmm makes (core::reference_max_abs_error: band
+// lease, reference products and the |ref - C| fold).
 //
 //   --json FILE   also write results as Google-Benchmark JSON (the format
 //                 tools/compare_bench.py checks against BENCH_dgemm.json).
@@ -69,6 +71,28 @@ void run_gemm(benchmark::State& state, const GemmOptions& opts) {
     summagen::blas::dgemm(n, n, n, 1.0, a.data(), n, b.data(), n, 0.0,
                           c.data(), n, opts);
     benchmark::DoNotOptimize(c.data());
+  }
+  set_alloc_counters(state, base);
+  state.SetItemsProcessed(state.iterations() *
+                          summagen::blas::gemm_flops(n, n, n));
+}
+
+// The verification call of a numeric run_pmm, end to end, against a C
+// equal to the product. Real time: the fold and the products run on the
+// pool, with the measuring thread only one of the participants.
+void BM_ReferenceCheck(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  summagen::util::Matrix a(n, n), b(n, n);
+  summagen::util::fill_random(a, 1);
+  summagen::util::fill_random(b, 2);
+  const summagen::util::Matrix c = summagen::blas::multiply(a, b);
+  // Untimed warm-up: the first call leases the band buffer.
+  double err = summagen::core::reference_max_abs_error(a, b, c);
+  const summagen::util::DataPlaneStats base =
+      summagen::util::data_plane_stats();
+  for (auto _ : state) {
+    err = summagen::core::reference_max_abs_error(a, b, c);
+    benchmark::DoNotOptimize(err);
   }
   set_alloc_counters(state, base);
   state.SetItemsProcessed(state.iterations() *
@@ -170,6 +194,8 @@ BENCHMARK(BM_GemmBlocked)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 BENCHMARK(BM_GemmThreaded)->Arg(256)->Arg(512)->Arg(1024);
 BENCHMARK(BM_GemmPacked)->Arg(256)->Arg(512)->Arg(1024);
 BENCHMARK(BM_GemmReference)->Arg(256)->Arg(512)->Arg(1024);
+BENCHMARK(BM_ReferenceCheck)->Arg(1024)->Arg(2048)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 // UseRealTime: the measuring thread only spawns/joins the callers, so CPU
 // time would be ~0 and the derived GFLOPs meaningless.
 BENCHMARK(BM_GemmThreadedConcurrent3)->Arg(512)->Arg(1024)

@@ -24,8 +24,12 @@ inline constexpr blas::GemmOptions kReferenceGemm{
     .tier = blas::SimdTier::kAuto,
     .rounding = blas::Rounding::kSeparate};
 
-/// Rows of the reference product reference_max_abs_error forms at a time.
-inline constexpr std::int64_t kReferenceBandRows = 256;
+/// Elements of the reference product reference_max_abs_error forms at a
+/// time (32 MiB): the band is clamp(kReferenceBandDoubles / n, 1, m) rows,
+/// the whole product up to n = 2048 and 512 rows at n = 8192. A band that
+/// tall gives the packed kernel enough row tasks per k-block to keep the
+/// whole pool busy; a 256-row band left it 4 tasks per block at n = 2048.
+inline constexpr std::int64_t kReferenceBandDoubles = std::int64_t{1} << 22;
 
 /// C = A * B with the reference kernel — the oracle SummaGen results are
 /// checked against in tests and numeric experiments.
@@ -33,9 +37,11 @@ util::Matrix reference_multiply(const util::Matrix& a, const util::Matrix& b);
 
 /// max |C - A*B| over all elements, equal bit for bit to
 /// `util::Matrix::max_abs_diff(c, reference_multiply(a, b))` but without
-/// the whole product: A*B is formed kReferenceBandRows rows at a time into
-/// one pooled band buffer and folded into a running maximum. NaN
-/// propagates as in util::max_abs_diff. Throws std::invalid_argument on
+/// the whole product once it exceeds kReferenceBandDoubles: A*B is formed
+/// a band of rows at a time into one pooled buffer, and each band's
+/// |ref - C| is folded in row bands on the shared pool (util::row_bands)
+/// into a running maximum. The first NaN difference in row-major order is
+/// returned as in util::max_abs_diff. Throws std::invalid_argument on
 /// shape mismatches.
 double reference_max_abs_error(const util::Matrix& a, const util::Matrix& b,
                                const util::Matrix& c);

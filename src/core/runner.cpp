@@ -533,9 +533,12 @@ ExperimentResult run_pmm(const ExperimentConfig& config) {
     }
     // Re-take the window with the gather included; it closes here because
     // the verification reference is measurement harness, not data plane,
-    // and must not bill the job. The reference's scalar tier keeps each
-    // element's l-ascending chain whatever the band split or pool width,
-    // so the error is the same bits as against a whole kBlocked product.
+    // and must not bill the job. The reference is formed in bands of up to
+    // kReferenceBandDoubles elements (the whole C up to n = 2048) and
+    // compared in row chunks, both on the full pool; its separate rounding
+    // keeps each element's l-ascending chain whatever the band or chunk
+    // split or pool width, so the error is the same bits as against a
+    // whole kScalar product.
     take_alloc_window();
     result.max_abs_error = reference_max_abs_error(a, b, c);
     double tolerance = gemm_tolerance(config.n);

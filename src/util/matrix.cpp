@@ -7,21 +7,20 @@
 #include <sstream>
 
 #include "src/util/accounting.hpp"
+#include "src/util/row_bands.hpp"
 
 namespace summagen::util {
 
 Matrix::Matrix(std::int64_t rows, std::int64_t cols)
+    : Matrix(rows, cols, 0.0) {}
+
+Matrix::Matrix(std::int64_t rows, std::int64_t cols, double value)
     : rows_(rows), cols_(cols) {
   if (rows < 0 || cols < 0) {
     throw std::invalid_argument("Matrix: negative dimension");
   }
-  data_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
-               0.0);
+  data_.resize(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols));
   record_alloc(static_cast<std::int64_t>(data_.size() * sizeof(double)));
-}
-
-Matrix::Matrix(std::int64_t rows, std::int64_t cols, double value)
-    : Matrix(rows, cols) {
   fill(value);
 }
 
@@ -40,7 +39,11 @@ double Matrix::at(std::int64_t i, std::int64_t j) const {
 }
 
 void Matrix::fill(double value) {
-  std::fill(data_.begin(), data_.end(), value);
+  double* data = data_.data();
+  const std::int64_t cols = cols_;
+  row_bands(rows_, cols).run([=](std::int64_t r0, std::int64_t r1) {
+    std::fill(data + r0 * cols, data + r1 * cols, value);
+  });
 }
 
 double Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {

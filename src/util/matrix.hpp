@@ -8,9 +8,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace summagen::util {
@@ -23,10 +25,12 @@ class Matrix {
  public:
   Matrix() = default;
 
-  /// Creates a rows x cols matrix, zero-initialised.
+  /// Creates a rows x cols matrix, zero-initialised (+0.0 everywhere).
   Matrix(std::int64_t rows, std::int64_t cols);
 
-  /// Creates a rows x cols matrix filled with `value`.
+  /// Creates a rows x cols matrix filled with `value`. The fill is the
+  /// first write to the storage and runs in row bands (util::row_bands),
+  /// so a large matrix is written and paged in by the whole pool.
   Matrix(std::int64_t rows, std::int64_t cols, double value);
 
   std::int64_t rows() const noexcept { return rows_; }
@@ -53,7 +57,7 @@ class Matrix {
   double& at(std::int64_t i, std::int64_t j);
   double at(std::int64_t i, std::int64_t j) const;
 
-  /// Sets every element to `value`.
+  /// Sets every element to `value`, in row bands (util::row_bands).
   void fill(double value);
 
   /// Largest element-wise |a - b| (see the span overload: NaN propagates).
@@ -63,9 +67,32 @@ class Matrix {
   bool operator==(const Matrix& other) const = default;
 
  private:
+  /// std::allocator whose value-less construct() default-initialises, so
+  /// data_ sized with it is left unwritten until the constructor fills it
+  /// in row bands on the shared pool.
+  template <class T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind {
+      using other = DefaultInitAllocator<U>;
+    };
+    DefaultInitAllocator() = default;
+    template <class U>
+    DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+    template <class U, class... Args>
+    void construct(U* p, Args&&... args) {
+      if constexpr (sizeof...(Args) == 0) {
+        ::new (static_cast<void*>(p)) U;
+      } else {
+        ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+      }
+    }
+  };
+
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
-  std::vector<double> data_;
+  std::vector<double, DefaultInitAllocator<double>> data_;
 };
 
 /// Largest element-wise |x[i] - y[i]| over two equally long spans (0 when

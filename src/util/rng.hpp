@@ -8,8 +8,8 @@
 #include <cstdint>
 #include <random>
 
-#include "src/pool/pool.hpp"
 #include "src/util/matrix.hpp"
+#include "src/util/row_bands.hpp"
 
 namespace summagen::util {
 
@@ -67,24 +67,17 @@ inline std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t salt) {
 /// path), since the row <-> stream mapping never depends on scheduling.
 inline void fill_random(Matrix& m, std::uint64_t seed, double lo = -1.0,
                         double hi = 1.0) {
-  const std::int64_t rows = m.rows();
   const std::int64_t cols = m.cols();
   double* data = m.data();
-  const auto fill_rows = [=](std::int64_t r0, std::int64_t r1) {
+  // Engine construction is ~2.5 KiB of state per row, so small matrices
+  // fill serially; the values are identical for any split.
+  row_bands(m.rows(), cols).run([=](std::int64_t r0, std::int64_t r1) {
     for (std::int64_t i = r0; i < r1; ++i) {
       Rng rng(derive_seed(seed, static_cast<std::uint64_t>(i)));
       double* row = data + i * cols;
       for (std::int64_t j = 0; j < cols; ++j) row[j] = rng.uniform(lo, hi);
     }
-  };
-  // Engine construction is ~2.5 KiB of state per row: not worth task
-  // overhead for small matrices, and the values are identical either way.
-  if (rows * cols < 1 << 14) {
-    fill_rows(0, rows);
-    return;
-  }
-  const std::int64_t width = sgpool::Pool::instance().size() + 1;
-  sgpool::parallel_for(0, rows, (rows + width - 1) / width, fill_rows);
+  });
 }
 
 }  // namespace summagen::util

@@ -67,9 +67,10 @@ TEST(Reference, MultiplyMatchesBlockedBitForBitAtScale) {
 }
 
 // The streamed check against the whole blocked product, for the default
-// (widest-tier) kernel's C and for copies perturbed in the first row, at
-// the band seams and in the last row — at every band remainder and pool
-// width (0 workers = the caller runs every band task inline).
+// (widest-tier) kernel's C and for copies perturbed in the first, middle
+// and last rows, at every pool width (0 workers = the caller runs every
+// task inline). Square operands this size are one reference band; the
+// band seams are covered by StreamedErrorBitsAcrossBandSeams.
 TEST(Reference, StreamedErrorEqualsWholeBlockedComparison) {
   const PoolSizeGuard restore;
   for (std::int64_t n : {1, 3, 255, 256, 257, 600}) {
@@ -79,9 +80,7 @@ TEST(Reference, StreamedErrorEqualsWholeBlockedComparison) {
     const util::Matrix fast = blas::multiply(ops.a, ops.b);
     std::vector<util::Matrix> candidates{fast};
     double delta = 1e-9;
-    for (std::int64_t row : {std::int64_t{0}, kReferenceBandRows - 1,
-                             kReferenceBandRows, n - 1}) {
-      if (row >= n) continue;
+    for (std::int64_t row : {std::int64_t{0}, n / 2, n - 1}) {
       util::Matrix c = fast;
       c(row, (row * 7) % n) += delta;
       candidates.push_back(c);
@@ -96,6 +95,62 @@ TEST(Reference, StreamedErrorEqualsWholeBlockedComparison) {
             << "n=" << n << " workers=" << workers << " candidate " << i;
       }
     }
+  }
+}
+
+// Several reference bands, cheaply: C is 4096 columns wide, so a band is
+// kReferenceBandDoubles / 4096 = 1024 rows, and k = 2 keeps the products
+// trivial. C is perturbed on each side of every band seam and in the last
+// row; then two NaNs with distinct payloads go into the last band, and the
+// verdict must carry the first one in row-major order even when the fold
+// splits that band into chunks. Every verdict equals, bit for bit, an
+// explicit portable-scalar product followed by max_abs_diff.
+TEST(Reference, StreamedErrorBitsAcrossBandSeams) {
+  const PoolSizeGuard restore;
+  constexpr std::int64_t kCols = 4096;
+  constexpr std::int64_t kBand = kReferenceBandDoubles / kCols;
+  static_assert(kBand == 1024);
+  const double nan_first = std::bit_cast<double>(0x7ff8000000000001ULL);
+  const double nan_second = std::bit_cast<double>(0x7ff8000000000002ULL);
+  for (std::int64_t m : {kBand - 1, kBand, kBand + 1, 2 * kBand + 1}) {
+    util::Matrix a(m, 2), b(2, kCols);
+    util::fill_random(a, 500 + static_cast<std::uint64_t>(m));
+    util::fill_random(b, 600 + static_cast<std::uint64_t>(m));
+    const util::Matrix scalar = blas::multiply(
+        a, b,
+        {.kernel = blas::GemmKernel::kPacked, .tier = blas::SimdTier::kScalar});
+    util::Matrix c = blas::multiply(a, b);
+    const auto check = [&](const char* what) {
+      const double want = util::Matrix::max_abs_diff(c, scalar);
+      for (int workers : {0, 1, 3}) {
+        sgpool::Pool::configure(workers);
+        const double got = reference_max_abs_error(a, b, c);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(want))
+            << "m=" << m << " workers=" << workers << " " << what << ": "
+            << got << " vs " << want;
+      }
+    };
+    check("unperturbed");
+    double delta = 1e-9;
+    for (std::int64_t row :
+         {kBand - 1, kBand, 2 * kBand - 1, 2 * kBand, m - 1}) {
+      if (row >= m) continue;
+      const std::int64_t col = (row * 7) % kCols;
+      const double saved = c(row, col);
+      c(row, col) += delta;
+      check("perturbed row");
+      c(row, col) = saved;
+      delta *= -10.0;
+    }
+    const std::int64_t last_band = (m - 1) / kBand * kBand;
+    c(kBand / 2 < m ? kBand / 2 : 0, 1) += 0.5;  // an earlier, larger error
+    c(last_band, 3) = nan_first;
+    c(m - 1, kCols - 1) = nan_second;
+    check("NaN in the last band");
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(reference_max_abs_error(a, b, c)),
+              std::bit_cast<std::uint64_t>(nan_first))
+        << "m=" << m;
   }
 }
 

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "src/mpi/mpi.hpp"
+#include "src/pool/pool.hpp"
+#include "src/util/accounting.hpp"
+#include "src/util/row_bands.hpp"
 #include "src/util/rng.hpp"
 
 namespace summagen::util {
@@ -186,6 +192,105 @@ TEST(ToString, TruncatesLargeMatrix) {
   const std::string s = to_string(m, 2);
   EXPECT_NE(s.find("..."), std::string::npos);
   EXPECT_NE(s.find("20x20"), std::string::npos);
+}
+
+// --- Zero-fill above the row-band serial cut ---
+//
+// A Matrix this size is filled in row bands on the shared pool. Its storage
+// is never value-initialised by the allocator, so every element must still
+// read +0.0 (bitwise) wherever it is built: run_gemm accumulates into C
+// with beta = 1.
+
+constexpr std::int64_t kBigRows = 301;  // 301 x 211 > kRowBandSerialCut
+constexpr std::int64_t kBigCols = 211;
+static_assert(kBigRows * kBigCols >= kRowBandSerialCut);
+
+/// Restores the shared pool's size when a test that resizes it ends.
+class PoolSizeGuard {
+ public:
+  PoolSizeGuard() : size_(sgpool::Pool::instance().size()) {}
+  ~PoolSizeGuard() { sgpool::Pool::configure(size_); }
+  PoolSizeGuard(const PoolSizeGuard&) = delete;
+  PoolSizeGuard& operator=(const PoolSizeGuard&) = delete;
+
+ private:
+  int size_;
+};
+
+/// Number of elements whose bits are not those of +0.0.
+std::int64_t nonzero_bits(const Matrix& m) {
+  std::int64_t bad = 0;
+  for (double v : m.span()) bad += std::bit_cast<std::uint64_t>(v) != 0;
+  return bad;
+}
+
+TEST(MatrixZeroFill, PositiveZeroAtEveryPoolWidth) {
+  const PoolSizeGuard restore;
+  for (int workers : {0, 1, 3}) {
+    sgpool::Pool::configure(workers);
+    ASSERT_GT(row_bands(kBigRows, kBigCols).count(), workers > 0 ? 1 : 0);
+    const Matrix m(kBigRows, kBigCols);
+    EXPECT_EQ(nonzero_bits(m), 0) << "workers=" << workers;
+    const Matrix v(kBigRows, kBigCols, -2.5);
+    for (double x : v.span()) ASSERT_EQ(x, -2.5) << "workers=" << workers;
+  }
+}
+
+TEST(MatrixZeroFill, PositiveZeroInsidePoolTasks) {
+  const PoolSizeGuard restore;
+  sgpool::Pool::configure(3);
+  std::vector<std::int64_t> bad(4, -1);
+  sgpool::TaskGroup group;
+  for (std::size_t t = 0; t < bad.size(); ++t) {
+    group.run([&bad, t] { bad[t] = nonzero_bits(Matrix(kBigRows, kBigCols)); });
+  }
+  group.wait();
+  for (std::size_t t = 0; t < bad.size(); ++t) EXPECT_EQ(bad[t], 0) << t;
+}
+
+// summa.cpp builds each rank's C block inside its rank fiber.
+TEST(MatrixZeroFill, PositiveZeroInsideRankFibers) {
+  const PoolSizeGuard restore;
+  sgpool::Pool::configure(3);
+  sgmpi::Config config;
+  config.nranks = 3;
+  std::vector<std::int64_t> bad(3, -1);
+  sgmpi::Runtime runtime(config);
+  runtime.run([&bad](sgmpi::Comm& comm) {
+    const Matrix m(kBigRows, kBigCols);
+    comm.barrier();
+    bad[static_cast<std::size_t>(comm.rank())] = nonzero_bits(m);
+  });
+  for (std::size_t r = 0; r < bad.size(); ++r) EXPECT_EQ(bad[r], 0) << r;
+}
+
+// Freed payloads of the same size come back from the heap with their old
+// contents; the new Matrix must overwrite all of them.
+TEST(MatrixZeroFill, PositiveZeroOverReusedDirtyMemory) {
+  const PoolSizeGuard restore;
+  sgpool::Pool::configure(3);
+  for (int round = 0; round < 3; ++round) {
+    {
+      Matrix dirty(kBigRows, kBigCols);
+      dirty.fill(std::numeric_limits<double>::quiet_NaN());
+    }
+    EXPECT_EQ(nonzero_bits(Matrix(kBigRows, kBigCols)), 0) << round;
+  }
+}
+
+TEST(MatrixZeroFill, RecordsOneAllocationOfThePayload) {
+  const PoolSizeGuard restore;
+  sgpool::Pool::configure(3);
+  const std::int64_t bytes =
+      kBigRows * kBigCols * static_cast<std::int64_t>(sizeof(double));
+  const DataPlaneStats before = data_plane_stats();
+  const Matrix zero(kBigRows, kBigCols);
+  const Matrix filled(kBigRows, kBigCols, 1.0);
+  const Matrix small(3, 5);
+  const DataPlaneStats d = data_plane_stats().since(before);
+  EXPECT_EQ(d.allocs, 3);
+  EXPECT_EQ(d.alloc_bytes,
+            2 * bytes + 15 * static_cast<std::int64_t>(sizeof(double)));
 }
 
 }  // namespace
